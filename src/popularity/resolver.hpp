@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,9 +23,10 @@ struct ResolverConfig {
   /// Derivation window (paper: 28 Jan – 8 Feb 2013). Zero means default.
   util::UnixTime derive_from = 0;
   util::UnixTime derive_to = 0;
-  /// Worker threads for the per-onion multi-day descriptor-ID
-  /// derivation; <= 0 = one per hardware thread, 1 = legacy serial
-  /// path. The dictionary is bit-identical for every value (see
+  /// Worker threads for the dictionary build: the per-onion multi-day
+  /// descriptor-ID derivation and the per-bucket sorts; <= 0 = one per
+  /// hardware thread, 1 = everything inline on the caller. The
+  /// dictionary is bit-identical for every value (see
   /// docs/concurrency.md).
   int threads = 0;
   /// Optional metrics sink ("resolver.*" counters). Must outlive the
@@ -70,7 +71,8 @@ class DescriptorResolver {
 
   /// Builds the dictionary from bare onion addresses — exactly the
   /// paper's method: nothing but the harvested address list is needed
-  /// to derive every descriptor ID in the window.
+  /// to derive every descriptor ID in the window. When two onions
+  /// derive the same id, the later one in `onions` owns it.
   void build_dictionary_from_onions(const std::vector<std::string>& onions);
 
   /// Resolves a request stream and produces the ranking. `pop` (when
@@ -83,31 +85,45 @@ class DescriptorResolver {
 
   /// Resolves one descriptor id to its onion address, if known.
   std::optional<std::string> resolve_id(
-      const crypto::DescriptorId& id) const {
-    const auto it = dictionary_.find(id);
-    if (it == dictionary_.end()) return std::nullopt;
-    return std::string(util::global_interner().view(it->second));
-  }
+      const crypto::DescriptorId& id) const;
 
  private:
+  /// One dictionary row: a derived descriptor id and the interned onion
+  /// it belongs to (docs/data-layout.md).
+  struct DictionaryEntry {
+    crypto::DescriptorId id;
+    util::StringInterner::Id onion = 0;
+  };
+  static_assert(sizeof(DictionaryEntry) == 24, "20 + 4 bytes, no padding");
+
+  /// One (onion, requests) pair of the request-log join. Deliberately
+  /// without member initialisers: the join's scratch buffer of these is
+  /// allocated uninitialised and only the slots it writes are touched.
+  struct OnionCount {
+    util::StringInterner::Id onion;
+    std::int64_t requests;
+  };
+
   ResolutionReport resolve_internal(const RequestStream& stream,
                                     const population::Population* pop) const;
 
-  /// The hot request-log join: per-id counts, then dictionary probes
-  /// folding resolved ids into per-onion counts (Sec. V method). The
-  /// per-onion key is the 4-byte intern id: the join allocates map
-  /// nodes only, never onion strings.
-  void tally_requests(
-      const RequestStream& stream,
-      std::map<crypto::DescriptorId, std::int64_t>& id_counts,
-      std::map<util::StringInterner::Id, std::int64_t>& onion_counts,
-      ResolutionReport& report) const;
+  /// The hot request-log join (Sec. V method), in caller-provided
+  /// storage: sorts `ids` (a copy of the stream's descriptor ids),
+  /// counts each run of equal ids, merge-walks the runs against the
+  /// sorted dictionary, and folds the resolved runs into per-onion
+  /// counts. `onion_counts` must hold at least one slot per resolved
+  /// id; returns how many per-onion counts it wrote, sorted by intern
+  /// id.
+  std::size_t tally_requests(std::span<crypto::DescriptorId> ids,
+                             std::span<OnionCount> onion_counts,
+                             ResolutionReport& report) const;
 
   ResolverConfig config_;
-  /// Values are ids into util::global_interner() — the dictionary keeps
-  /// one 4-byte handle per derived descriptor id instead of ~12 owned
-  /// copies of every onion string (one per derivation day).
-  std::map<crypto::DescriptorId, util::StringInterner::Id> dictionary_;
+  /// Sorted by id, one entry per distinct id. Values are ids into
+  /// util::global_interner() — one 4-byte handle per derived
+  /// descriptor id instead of ~12 owned copies of every onion string
+  /// (one per derivation day).
+  std::vector<DictionaryEntry> dictionary_;
 };
 
 }  // namespace torsim::popularity

@@ -6,7 +6,6 @@
 // regenerate deliberately (docs/scenarios.md) or fix the regression.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/pack.hpp"
+#include "temp_dir.hpp"
 #include "util/csv.hpp"
 #include "util/memo.hpp"
 
@@ -52,18 +52,16 @@ RunBytes run_bytes(const ScenarioPack& pack, int threads,
   config.metrics = &metrics;
   const ScenarioRunReport report = run_pack(pack, config);
 
-  const std::string path =
-      "/tmp/torsim_scenario_golden_" + pack.name + ".csv";
+  const test_support::TempDir dir;
+  const std::string path = dir.file(pack.name + ".csv");
   {
     util::CsvWriter csv(path);
     report.write_timeline(csv);
   }
   std::ifstream in(path, std::ios::binary);
-  RunBytes bytes{std::string(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()),
-                 metrics.to_json()};
-  std::remove(path.c_str());
-  return bytes;
+  return RunBytes{std::string(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()),
+                  metrics.to_json()};
 }
 
 class ScenarioGoldenTest : public ::testing::TestWithParam<std::string> {};

@@ -6,7 +6,6 @@
 // of util::parallel (see docs/concurrency.md) checked end to end.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "relay/registry.hpp"
 #include "scan/crawler.hpp"
 #include "scan/port_scanner.hpp"
+#include "temp_dir.hpp"
 #include "util/csv.hpp"
 #include "util/encoding.hpp"
 #include "util/memo.hpp"
@@ -52,14 +52,13 @@ std::string read_file(const std::string& path) {
 /// so equality below really is byte-identity of the emitted artifact.
 template <typename WriteRows>
 std::string csv_bytes(const std::string& tag, const WriteRows& write_rows) {
-  const std::string path = "/tmp/torsim_equiv_" + tag + ".csv";
+  const test_support::TempDir dir;
+  const std::string path = dir.file(tag + ".csv");
   {
     util::CsvWriter csv(path);
     write_rows(csv);
   }
-  const std::string bytes = read_file(path);
-  std::remove(path.c_str());
-  return bytes;
+  return read_file(path);
 }
 
 // ---------------------------------------------------------------------

@@ -7,9 +7,6 @@
 // deliberately with TORSIM_SERVE_REGEN=1 (docs/serving.md).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -22,6 +19,7 @@
 #include "serve/proto.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "temp_dir.hpp"
 #include "util/memo.hpp"
 
 namespace {
@@ -86,8 +84,8 @@ RunBytes run_via_socket(const std::string& tag, int session_threads,
                         ServerConfig edge, LoadConfig load) {
   obs::MetricsRegistry metrics;
   WorldSession session(toy_config(session_threads, &metrics));
-  edge.socket_path = "/tmp/torsim_serve_eq_" + tag + "_" +
-                     std::to_string(::getpid()) + ".sock";
+  const test_support::TempDir dir;  // outlives the server
+  edge.socket_path = dir.file(tag + ".sock");
   serve::Server server(session, edge);
   server.start();
   std::thread loop([&] { server.run(); });
@@ -99,11 +97,9 @@ RunBytes run_via_socket(const std::string& tag, int session_threads,
   } catch (...) {
     server.stop();
     loop.join();
-    std::remove(edge.socket_path.c_str());
     throw;
   }
   loop.join();
-  std::remove(edge.socket_path.c_str());
   return {render_all(result.responses), metrics.to_json()};
 }
 
@@ -246,8 +242,8 @@ TEST(ServeEquivalence, CorruptionChaosNeverHangsOrDropsRequests) {
   load.timeout_millis = 500;
   obs::MetricsRegistry metrics;
   WorldSession session(toy_config(2, &metrics));
-  edge.socket_path = "/tmp/torsim_serve_eq_corrupt_" +
-                     std::to_string(::getpid()) + ".sock";
+  const test_support::TempDir dir;  // outlives the server
+  edge.socket_path = dir.file("corrupt.sock");
   serve::Server server(session, edge);
   server.start();
   std::thread loop([&] { server.run(); });
@@ -258,7 +254,6 @@ TEST(ServeEquivalence, CorruptionChaosNeverHangsOrDropsRequests) {
   const LoadResult result = serve::run_load(load);
   server.stop();
   loop.join();
-  std::remove(edge.socket_path.c_str());
   ASSERT_EQ(result.responses.size(), result.requests.size());
   for (std::size_t i = 0; i < result.requests.size(); ++i)
     EXPECT_EQ(result.responses[i].id, result.requests[i].id) << i;

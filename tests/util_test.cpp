@@ -419,9 +419,9 @@ TEST(StringsTest, ReplaceAll) {
 // ---------------------------------------------------------------------
 // csv
 // ---------------------------------------------------------------------
-#include <cstdio>
 #include <fstream>
 
+#include "temp_dir.hpp"
 #include "util/csv.hpp"
 
 namespace torsim::util {
@@ -455,7 +455,8 @@ TEST(CsvTest, EscapeCarriageReturnAndEdgeCases) {
 }
 
 TEST(CsvTest, WriterRoundTripsNastyFields) {
-  const std::string path = "/tmp/torsim_csv_nasty_test.csv";
+  const test_support::TempDir dir;
+  const std::string path = dir.file("nasty.csv");
   {
     CsvWriter csv(path);
     csv.row({"onion,with,commas", "say \"hi\"", "line\nbreak", "cr\rhere"});
@@ -463,11 +464,11 @@ TEST(CsvTest, WriterRoundTripsNastyFields) {
   EXPECT_EQ(read_file(path),
             "\"onion,with,commas\",\"say \"\"hi\"\"\","
             "\"line\nbreak\",\"cr\rhere\"\n");
-  std::remove(path.c_str());
 }
 
 TEST(CsvTest, WritesRows) {
-  const std::string path = "/tmp/torsim_csv_test.csv";
+  const test_support::TempDir dir;
+  const std::string path = dir.file("rows.csv");
   {
     CsvWriter csv(path);
     csv.row({"a", "b,c"});
@@ -475,7 +476,6 @@ TEST(CsvTest, WritesRows) {
     EXPECT_EQ(csv.rows_written(), 2u);
   }
   EXPECT_EQ(read_file(path), "a,\"b,c\"\n1,2.5,x\n");
-  std::remove(path.c_str());
 }
 
 TEST(CsvTest, ThrowsOnBadPath) {
