@@ -1,8 +1,9 @@
 #include "attack/grinding.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
-#include "util/strings.hpp"
+#include "crypto/grind.hpp"
 
 namespace torsim::attack {
 
@@ -13,29 +14,28 @@ std::optional<GrindResult> grind_key_after(const crypto::Sha1Digest& target,
   const double ring_size = std::ldexp(1.0, 160);
   const double max_distance = max_ring_fraction * ring_size;
   const crypto::U160 target_value(target);
-  for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    crypto::KeyPair key = crypto::KeyPair::generate(rng);
-    const crypto::U160 fp(key.fingerprint());
-    if (fp == target_value) continue;  // need strictly after
-    const double distance =
-        fp.ring_distance_from(target_value).to_double();
-    if (distance <= max_distance)
-      return GrindResult{std::move(key), attempt, distance};
-  }
-  return std::nullopt;
+  // Strictly after the target: an exact hit is no position at all.
+  const auto after_target = [&](const crypto::Fingerprint& fingerprint) {
+    const crypto::U160 fp(fingerprint);
+    return !(fp == target_value) &&
+           fp.ring_distance_from(target_value).to_double() <= max_distance;
+  };
+  auto hit = crypto::grind_keys(rng, max_attempts, after_target);
+  if (!hit) return std::nullopt;
+  if (!after_target(hit->key.fingerprint()))
+    throw std::logic_error("grind_key_after: winner outside the target arc");
+  const double distance = crypto::U160(hit->key.fingerprint())
+                              .ring_distance_from(target_value)
+                              .to_double();
+  return GrindResult{std::move(hit->key), hit->attempts, distance};
 }
 
 std::optional<GrindResult> grind_onion_prefix(std::string_view prefix,
                                               util::Rng& rng,
                                               std::uint64_t max_attempts) {
-  for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    crypto::KeyPair key = crypto::KeyPair::generate(rng);
-    const auto onion = crypto::onion_address(
-        crypto::permanent_id_from_fingerprint(key.fingerprint()));
-    if (util::starts_with(onion, prefix))
-      return GrindResult{std::move(key), attempt, 0.0};
-  }
-  return std::nullopt;
+  auto hit = crypto::grind_onion_prefix(prefix, rng, max_attempts);
+  if (!hit) return std::nullopt;
+  return GrindResult{std::move(hit->key), hit->attempts, 0.0};
 }
 
 }  // namespace torsim::attack

@@ -3,10 +3,15 @@
 // trackers positioned relays immediately after Silk Road's descriptor
 // IDs (the Sec. VII detector's "distance ratio" rule keys on exactly
 // the unnaturally small distances this produces).
+//
+// Both entry points are thin wrappers over the shared lane-batched
+// kernel crypto::grind_keys (crypto/grind.hpp): same keys, same attempt
+// counts and the same Rng state as regenerating KeyPairs one by one.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 #include "crypto/digest.hpp"
 #include "crypto/keypair.hpp"

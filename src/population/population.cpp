@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "content/corpus.hpp"
 #include "content/html.hpp"
-#include "util/strings.hpp"
+#include "crypto/grind.hpp"
 
 namespace torsim::population {
 namespace {
@@ -408,20 +409,18 @@ Population Population::generate(const PopulationConfig& config) {
 
   // "silkroa"-prefixed phishing/copycat addresses: the paper found 15.
   // Grinding a full 7-character prefix is ~2^35 hashes; we grind a
-  // 3-character "sil" prefix (~2^15) to exercise the same key-grinding
-  // machinery (documented substitution).
+  // 3-character "sil" prefix (~2^15) with the shared key-grinding kernel
+  // (crypto/grind.hpp, also behind attack::grind_onion_prefix) —
+  // documented substitution. The grind is unbounded, as a 3-character
+  // prefix always lands.
   {
     const int phishing = static_cast<int>(
         std::max<std::int64_t>(1, std::llround(15 * s)));
     for (int i = 0; i < phishing; ++i) {
-      crypto::KeyPair key = crypto::KeyPair::generate(rng);
-      while (true) {
-        const auto onion = crypto::onion_address(
-            crypto::permanent_id_from_fingerprint(key.fingerprint()));
-        if (util::starts_with(onion, "sil")) break;
-        key = crypto::KeyPair::generate(rng);
-      }
-      MutableRef svc = add_service(ServiceClass::kWebSite, std::move(key));
+      auto hit = crypto::grind_onion_prefix(
+          "sil", rng, std::numeric_limits<std::uint64_t>::max());
+      MutableRef svc = add_service(ServiceClass::kWebSite,
+                                   std::move(hit.value().key));
       svc.set_label("SilkroadPhishing");
       svc.set_topic(content::Topic::kCounterfeit);
       svc.set_language(content::Language::kEnglish);

@@ -349,16 +349,17 @@ TEST(DetlintFixture, KernelIdiomsStayQuiet) {
 // --- the real kernel sources -----------------------------------------
 
 TEST(DetlintSources, RingIndexAndSha1BatchAreClean) {
-  // Scan the shipped eytzinger-index and batched-SHA-1 sources exactly
-  // as the lint gate does (whole-file name pass, header merged with the
-  // .cpp) and require zero findings, suppressed or not: the hot kernels
-  // carry no determinism escapes at all.
+  // Scan the shipped eytzinger-index, batched-SHA-1 and key-grinding
+  // sources exactly as the lint gate does (whole-file name pass, header
+  // merged with the .cpp) and require zero findings, suppressed or not:
+  // the hot kernels carry no determinism escapes at all.
   const std::string root = std::string(TORSIM_SOURCE_DIR);
   const std::vector<std::pair<std::string, std::string>> units = {
       {root + "/src/dirauth/ring_index.hpp",
        root + "/src/dirauth/ring_index.cpp"},
       {root + "/src/crypto/sha1_batch.hpp",
        root + "/src/crypto/sha1_batch.cpp"},
+      {root + "/src/crypto/grind.hpp", root + "/src/crypto/grind.cpp"},
   };
   for (const auto& [header_path, cpp_path] : units) {
     const std::string header = read_file(header_path);
@@ -786,7 +787,8 @@ TEST(DetlintSources, AnnotatedHotKernelsAreAllocationFree) {
   const std::string root = std::string(TORSIM_SOURCE_DIR);
   for (const std::string rel :
        {"/src/dirauth/ring_index.cpp", "/src/crypto/sha1_batch.cpp",
-        "/src/util/memo.hpp", "/src/popularity/resolver.cpp"}) {
+        "/src/crypto/grind.cpp", "/src/util/memo.hpp",
+        "/src/popularity/resolver.cpp"}) {
     const std::string path = root + rel;
     const std::string content = read_file(path);
     ASSERT_FALSE(content.empty()) << path;

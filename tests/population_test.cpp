@@ -2,9 +2,11 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "content/corpus.hpp"
 #include "content/html.hpp"
+#include "crypto/sha1.hpp"
 #include "population/population.hpp"
 #include "util/strings.hpp"
 
@@ -196,6 +198,38 @@ TEST(PopulationTest, DeterministicForSeed) {
   ASSERT_EQ(a.size(), b.size());
   for (ServiceId i = 0; i < a.size(); ++i)
     EXPECT_EQ(a.onion(i), b.onion(i));
+}
+
+// Byte pins for seed 42. DeterministicForSeed only compares a build
+// with itself; these values were captured from the scalar grinding loop
+// that preceded crypto::grind_keys, so any drift in the key stream (the
+// phishing grind draws from the same Rng as everything after it) shows
+// up here.
+TEST(PopulationTest, SilkroadPhishingOnionsPinnedForSeed42) {
+  PopulationConfig config;
+  config.seed = 42;
+  config.scale = 0.2;
+  const auto pop = Population::generate(config);
+  std::vector<std::string> onions;
+  for (const auto svc : pop.services())
+    if (svc.label() == "SilkroadPhishing") onions.emplace_back(svc.onion());
+  const std::vector<std::string> expected = {
+      "siljiwto56t32zkg", "silu5z3hbj3brjbr", "silyiqlygse5vcnh"};
+  EXPECT_EQ(onions, expected);
+}
+
+TEST(PopulationTest, OnionColumnDigestPinnedForSeed42) {
+  PopulationConfig config;
+  config.seed = 42;
+  config.scale = 0.1;
+  const auto pop = Population::generate(config);
+  crypto::Sha1 h;
+  for (ServiceId i = 0; i < pop.size(); ++i) {
+    h.update(pop.onion(i));
+    h.update("\n");
+  }
+  EXPECT_EQ(pop.size(), 3982u);
+  EXPECT_EQ(crypto::sha1_hex(h.finalize()), "9d4dbd70f74661eb2ddc8ecb0c853dc5057410fd");
 }
 
 TEST(PopulationTest, TinyScaleStillHasPinnedHead) {

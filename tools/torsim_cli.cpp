@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -550,13 +551,22 @@ int cmd_report(const Options& opt) {
 }
 
 /// Maps a `torsim scenario` pack operand to a file path: an existing
-/// file wins; a bare name is looked up as scenarios/NAME.scn relative
-/// to the working directory.
+/// file wins; a bare name is looked up as scenarios/NAME.scn under the
+/// working directory, then in the source tree's scenarios/ directory
+/// (TORSIM_SCENARIO_DIR, set by the build), so curated packs resolve
+/// from anywhere. A bare name found in neither place fails naming both.
 std::string resolve_pack_path(const std::string& arg) {
   if (std::filesystem::is_regular_file(arg)) return arg;
-  if (arg.find('/') == std::string::npos && !arg.ends_with(".scn"))
-    return "scenarios/" + arg + ".scn";
-  return arg;
+  if (arg.find('/') != std::string::npos || arg.ends_with(".scn"))
+    return arg;
+  const std::string searched[] = {
+      "scenarios/" + arg + ".scn",
+      std::string(TORSIM_SCENARIO_DIR) + "/" + arg + ".scn"};
+  for (const auto& path : searched)
+    if (std::filesystem::is_regular_file(path)) return path;
+  throw std::runtime_error("cannot read scenario pack '" + arg +
+                           "' (searched " + searched[0] + ", " +
+                           searched[1] + ")");
 }
 
 int cmd_scenario(const Options& opt) {
