@@ -3,9 +3,10 @@
 // profiles built from the embedded per-language corpora.
 #pragma once
 
-#include <string>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "content/topics.hpp"
@@ -20,8 +21,9 @@ struct LanguageGuess {
 
 class LanguageDetector {
  public:
-  /// Builds profiles (1..3-byte n-grams, add-one smoothing) from the
-  /// embedded corpora.
+  /// Builds profiles (1..3-byte n-grams) from the embedded corpora: each
+  /// gram's relative frequency in its language's training text, with one
+  /// shared out-of-vocabulary floor of 1e-5 for every language.
   LanguageDetector();
 
   /// Classifies text; uses n-gram log-likelihoods under each language
@@ -32,16 +34,30 @@ class LanguageDetector {
   static const LanguageDetector& instance();
 
  private:
-  struct Profile {
-    /// Lookup-only (never iterated): hash map is safe and fast.
-    std::unordered_map<std::string, double> log_prob;
-    double log_fallback = -12.0;  ///< for unseen n-grams
+  /// Per-language log-probabilities of one n-gram.
+  using Row = std::array<double, kNumLanguages>;
+
+  /// One open-addressed slot: an encoded n-gram and its row index.
+  struct Slot {
+    std::uint32_t gram = 0;  ///< 0 = empty (no encoded gram is 0)
+    std::uint32_t row = 0;
   };
 
-  static void extract_ngrams(std::string_view text,
-                             std::vector<std::string>& out);
+  /// Index into rows_ of an encoded gram; 0 (the all-fallback row) when
+  /// no profile contains it.
+  std::uint32_t row_of(std::uint32_t gram) const;
 
-  std::vector<Profile> profiles_;  // indexed by Language
+  /// Adds the row of every scored n-gram of normalized text to `scores`,
+  /// in gram order; returns how many grams were scored.
+  std::size_t score_grams(std::string_view norm, Row& scores) const;
+
+  /// Rows of the union of every profile's grams; rows_[0] holds the
+  /// shared out-of-vocabulary log-probability in every column, and a
+  /// profile that lacks a gram has that value in the gram's row too.
+  std::vector<Row> rows_;
+  /// Linear-probing table over rows_ (power-of-two size, load <= 1/2).
+  std::vector<Slot> slots_;
+  int slot_shift_ = 32;  ///< 32 - log2(slots_.size()), for the hash
 };
 
 }  // namespace torsim::content

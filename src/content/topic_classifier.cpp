@@ -1,6 +1,7 @@
 #include "content/topic_classifier.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <map>
 #include <set>
@@ -16,7 +17,7 @@ void TopicClassifier::train(const std::vector<LabeledDoc>& docs) {
 
   // Ordered maps at training time: the loops below iterate them, and
   // iteration order must not depend on hash layout (the lookup-only
-  // word_log_prob_ tables stay hashed).
+  // vocab_ table stays hashed).
   std::vector<double> class_count(kNumTopics, 0.0);
   std::vector<std::map<std::string, double>> word_count(kNumTopics);
   std::vector<double> total_words(kNumTopics, 0.0);
@@ -36,40 +37,61 @@ void TopicClassifier::train(const std::vector<LabeledDoc>& docs) {
     for (const auto& [w, c] : counts) vocab.insert(w);
   const double v = static_cast<double>(vocab.size());
 
-  class_log_prior_.assign(kNumTopics, 0.0);
-  word_log_prob_.assign(kNumTopics, {});
-  log_fallback_.assign(kNumTopics, 0.0);
   const double n_docs = static_cast<double>(docs.size());
+  Row log_fallback{};
   for (int cls = 0; cls < kNumTopics; ++cls) {
     class_log_prior_[cls] =
         std::log((class_count[cls] + 1.0) / (n_docs + kNumTopics));
-    for (const auto& [w, c] : word_count[cls])
-      word_log_prob_[cls][w] = std::log((c + 1.0) / (total_words[cls] + v));
     // A class with no training documents must never win: its tiny word
     // total would otherwise give it the *highest* Laplace fallback.
-    log_fallback_[cls] = class_count[cls] > 0.0
-                             ? std::log(1.0 / (total_words[cls] + v))
-                             : -1e9;
+    log_fallback[cls] = class_count[cls] > 0.0
+                            ? std::log(1.0 / (total_words[cls] + v))
+                            : -1e9;
   }
+
+  // Rows in vocabulary (sorted) order, so the layout does not depend on
+  // hash order.
+  vocab_.clear();
+  rows_.assign(vocab.size() + 1, log_fallback);
+  std::uint32_t row = 0;
+  for (const std::string& w : vocab) vocab_.emplace(w, ++row);
+  for (int cls = 0; cls < kNumTopics; ++cls)
+    for (const auto& [w, c] : word_count[cls])
+      rows_[vocab_.find(w)->second][cls] =
+          std::log((c + 1.0) / (total_words[cls] + v));
+}
+
+// detlint: hot
+std::size_t TopicClassifier::score_words(std::string_view lower,
+                                         Row& scores) const {
+  std::size_t words = 0;
+  for (std::size_t begin = lower.find_first_not_of(' ');
+       begin != std::string_view::npos;
+       begin = lower.find_first_not_of(' ', begin)) {
+    const std::size_t end = std::min(lower.find(' ', begin), lower.size());
+    const auto it = vocab_.find(lower.substr(begin, end - begin));
+    const Row& row = rows_[it != vocab_.end() ? it->second : 0];
+    for (std::size_t t = 0; t < row.size(); ++t) scores[t] += row[t];
+    ++words;
+    begin = end;
+  }
+  return words;
 }
 
 TopicGuess TopicClassifier::classify(std::string_view text) const {
   if (!trained()) throw std::logic_error("TopicClassifier: not trained");
-  const auto words = util::tokenize_words(text);
-  std::vector<double> scores(kNumTopics);
-  for (int cls = 0; cls < kNumTopics; ++cls) {
-    double score = class_log_prior_[cls];
-    for (const std::string& w : words) {
-      const auto it = word_log_prob_[cls].find(w);
-      score +=
-          it != word_log_prob_[cls].end() ? it->second : log_fallback_[cls];
-    }
-    scores[cls] = score;
+  // The words util::tokenize_words would split off, lowercased in one
+  // copy: letters keep their place, every other byte becomes a space.
+  std::string lower(text);
+  for (char& c : lower) {
+    const auto uc = static_cast<unsigned char>(c);
+    c = std::isalpha(uc) ? static_cast<char>(std::tolower(uc)) : ' ';
   }
+  Row scores = class_log_prior_;
+  const std::size_t words = score_words(lower, scores);
   const auto best =
       std::max_element(scores.begin(), scores.end()) - scores.begin();
-  const double scale =
-      words.empty() ? 1.0 : 1.0 / static_cast<double>(words.size());
+  const double scale = words == 0 ? 1.0 : 1.0 / static_cast<double>(words);
   double denom = 0.0;
   for (double s : scores) denom += std::exp((s - scores[best]) * scale);
   TopicGuess guess;

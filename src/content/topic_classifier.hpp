@@ -3,6 +3,10 @@
 // used for Fig. 2.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,7 +38,7 @@ class TopicClassifier {
   /// Classifies a document; requires train() first.
   TopicGuess classify(std::string_view text) const;
 
-  bool trained() const { return !class_log_prior_.empty(); }
+  bool trained() const { return !rows_.empty(); }
 
   /// Convenience: trains on `docs_per_topic` synthetic documents per
   /// topic produced by the page generator — the analogue of training
@@ -44,10 +48,31 @@ class TopicClassifier {
                                       int words_per_doc = 120);
 
  private:
-  std::vector<double> class_log_prior_;                 // [topic]
-  /// Lookup-only (never iterated): hash map is safe and fast.
-  std::vector<std::unordered_map<std::string, double>> word_log_prob_;
-  std::vector<double> log_fallback_;                    // [topic]
+  /// Per-topic log-probabilities of one word.
+  using Row = std::array<double, kNumTopics>;
+
+  /// Hashes any string-like key, so vocab_ looks words up by
+  /// std::string_view without building a std::string.
+  struct WordHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view word) const {
+      return std::hash<std::string_view>{}(word);
+    }
+  };
+
+  /// Adds the row of every word of `lower` (lowercase letters, words
+  /// separated by spaces) to `scores`, in word order; returns how many
+  /// words were scored.
+  std::size_t score_words(std::string_view lower, Row& scores) const;
+
+  Row class_log_prior_{};
+  /// Lookup-only (never iterated): training-vocabulary word -> row index.
+  std::unordered_map<std::string, std::uint32_t, WordHash, std::equal_to<>>
+      vocab_;
+  /// rows_[0] is the log_fallback row: each topic's Laplace mass of a
+  /// word it never saw. A vocabulary word's row holds that value for
+  /// every topic whose training text lacks it.
+  std::vector<Row> rows_;
 };
 
 }  // namespace torsim::content

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "content/corpus.hpp"
 #include "content/language_detector.hpp"
 #include "content/page_generator.hpp"
 #include "content/pipeline.hpp"
 #include "content/topic_classifier.hpp"
+#include "crypto/sha1.hpp"
+#include "population/population.hpp"
+#include "scan/crawler.hpp"
+#include "scan/port_scanner.hpp"
 #include "util/strings.hpp"
 
 namespace torsim::content {
@@ -346,6 +353,59 @@ TEST_F(PipelineTest, PercentagesNormalize) {
   // Empty result stays at zero (no NaN).
   PipelineResult empty;
   for (double p : empty.topic_percentages()) EXPECT_DOUBLE_EQ(p, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// pinned pipeline output (one crawl of a seeded scale-0.05 population)
+// ---------------------------------------------------------------------
+
+// Byte pins for seed 11. The serial-equivalence goldens only compare the
+// pipeline with itself across thread counts; these values were captured
+// from the string-keyed naive-Bayes scorers that preceded the flat
+// feature tables, so a drifted language, topic or confidence bit on any
+// page shows up here.
+TEST(PipelinePinTest, FunnelAndServicesPinnedForSeed11) {
+  population::PopulationConfig config;
+  config.seed = 11;
+  config.scale = 0.05;
+  const auto pop = population::Population::generate(config);
+  const auto scan = scan::PortScanner(scan::ScanConfig{.threads = 4}).scan(pop);
+  const auto crawl = scan::Crawler().crawl(pop, scan);
+  util::Rng rng(13);
+  const auto classifier = TopicClassifier::make_default(rng);
+  const auto result = ContentPipeline(classifier, LanguageDetector::instance(),
+                                      {.threads = 4})
+                          .run(crawl.pages);
+
+  EXPECT_EQ(result.destinations_total, 342u);
+  EXPECT_EQ(result.connected, 342u);
+  EXPECT_EQ(result.excluded_short, 123u);
+  EXPECT_EQ(result.excluded_ssh_banner, 56u);
+  EXPECT_EQ(result.excluded_dup443, 57u);
+  EXPECT_EQ(result.excluded_error, 4u);
+  EXPECT_EQ(result.classifiable, 158u);
+  EXPECT_EQ(result.english, 134u);
+  EXPECT_EQ(result.torhost_default, 35u);
+  EXPECT_EQ(result.classified, 99u);
+  EXPECT_EQ(result.language_counts,
+            (std::vector<std::size_t>{134, 3, 1, 3, 1, 3, 4, 0, 2, 1, 0, 3, 1,
+                                      0, 1, 1, 0}));
+  EXPECT_EQ(result.topic_counts,
+            (std::vector<std::size_t>{16, 11, 10, 6, 8, 5, 3, 9, 1, 10, 4, 3, 1,
+                                      1, 3, 1, 7, 0}));
+
+  crypto::Sha1 h;
+  for (const ClassifiedService& s : result.services) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &s.topic_confidence, sizeof bits);
+    h.update(s.onion + " " + std::to_string(s.port) + " " +
+             std::to_string(static_cast<int>(s.language)) + " " +
+             std::to_string(static_cast<int>(s.topic)) + " " +
+             std::to_string(bits) + "\n");
+  }
+  EXPECT_EQ(result.services.size(), 99u);
+  EXPECT_EQ(crypto::sha1_hex(h.finalize()),
+            "9b391e05862f78000e0b4d6d30e181ead14d95ac");
 }
 
 }  // namespace

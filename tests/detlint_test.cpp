@@ -788,7 +788,9 @@ TEST(DetlintSources, AnnotatedHotKernelsAreAllocationFree) {
   for (const std::string rel :
        {"/src/dirauth/ring_index.cpp", "/src/crypto/sha1_batch.cpp",
         "/src/crypto/grind.cpp", "/src/util/memo.hpp",
-        "/src/popularity/resolver.cpp"}) {
+        "/src/popularity/resolver.cpp",
+        "/src/content/language_detector.cpp",
+        "/src/content/topic_classifier.cpp"}) {
     const std::string path = root + rel;
     const std::string content = read_file(path);
     ASSERT_FALSE(content.empty()) << path;

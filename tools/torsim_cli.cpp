@@ -17,7 +17,10 @@
 // The command list below is driven by kCommands: usage(), dispatch,
 // the unknown-command error, and the hidden --list-commands flag all
 // read the same table, so they cannot drift apart.
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -158,9 +161,10 @@ Options parse_options(int argc, char** argv, int first) {
   return opt;
 }
 
-/// Writes `text` to `path`; returns 0 or prints an `error:` line and
-/// returns 1. Every command funnels file output through this helper so
-/// unwritable destinations fail the same way everywhere.
+/// Writes `text` to `path` atomically (temp file in the same directory,
+/// then rename); returns 0 or prints an `error:` line, removes the temp
+/// file and returns 1. Every command funnels file output through this
+/// helper so unwritable destinations fail the same way everywhere.
 int write_text_file(const std::string& path, const std::string& text,
                     const char* what);
 
@@ -778,13 +782,30 @@ int cmd_query(const Options& opt) {
 
 int write_text_file(const std::string& path, const std::string& text,
                     const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  // Written beside the destination, then renamed over it: a full disk or
+  // a killed run never leaves a truncated file under `path`.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  std::FILE* f = std::fopen(tmp.c_str(), "wx");
   if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
+    std::fprintf(stderr, "error: cannot open %s for writing: %s\n",
+                 path.c_str(), std::strerror(errno));
     return 1;
   }
-  std::fputs(text.c_str(), f);
-  std::fclose(f);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const int write_errno = errno;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "error: cannot write %s: %s\n", path.c_str(),
+                 std::strerror(written ? errno : write_errno));
+    std::remove(tmp.c_str());
+    return 1;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "error: cannot replace %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+    std::remove(tmp.c_str());
+    return 1;
+  }
   std::printf("wrote %s to %s\n", what, path.c_str());
   return 0;
 }
