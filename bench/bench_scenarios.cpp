@@ -1,10 +1,13 @@
 // Scenario-pack sweep: one google-benchmark per curated pack under
-// scenarios/ (full replay to the horizon), plus a deterministic summary
-// pass that records every pack into the BENCH_scenarios.json rows and
-// "scenarios" sections (schema-checked by tools/check_bench_json.py).
+// scenarios/ (full replay to the horizon), the paper-scale hour step
+// (scenarios/testdata/paper-probe.scn, reported as seconds per
+// simulated hour), plus a deterministic summary pass that records every
+// curated pack into the BENCH_scenarios.json rows and "scenarios"
+// sections (schema-checked by tools/check_bench_json.py).
 #include "bench_common.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/pack.hpp"
+#include "sim/world.hpp"
 
 namespace {
 
@@ -24,6 +27,28 @@ void replay_pack(benchmark::State& state, const std::string& name) {
     scenario::ScenarioRunReport report = scenario::run_pack(pack, config);
     benchmark::DoNotOptimize(report);
   }
+}
+
+/// The paper-scale probe's hour step. The world is built the way
+/// scenario::run_pack builds it for a quiet pack (the probe has no
+/// events), outside the timed loop; each iteration then steps one
+/// simulated hour, so the reported time per iteration is the cost of
+/// one hour at the paper's size. The iteration count is the pack's
+/// horizon.
+void probe_hour_step(benchmark::State& state,
+                     const scenario::ScenarioPack& pack) {
+  sim::WorldConfig wc;
+  wc.seed = pack.seed;
+  wc.start = pack.start;
+  wc.honest_relays = pack.relays;
+  wc.record_archive = false;
+  sim::World world(wc);
+  for (int i = 0; i < pack.services; ++i) world.add_service();
+  for (auto _ : state) {
+    world.step_hour();
+    benchmark::ClobberMemory();
+  }
+  state.counters["services"] = static_cast<double>(world.service_count());
 }
 
 /// The deterministic summary pass: one replay per pack, recorded into
@@ -67,6 +92,14 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         ("scenario/" + name).c_str(),
         [name](benchmark::State& state) { replay_pack(state, name); });
+  const scenario::ScenarioPack probe = scenario::load_pack_file(
+      std::string(TORSIM_SCENARIO_DIR) + "/testdata/paper-probe.scn");
+  benchmark::RegisterBenchmark(
+      "scenario_probe/s_per_hour",
+      [probe](benchmark::State& state) { probe_hour_step(state, probe); })
+      ->Iterations(probe.horizon_hours)
+      ->Unit(benchmark::kSecond)
+      ->UseRealTime();
   torsim::bench::run_benchmarks();
   record_summaries();
   return torsim::bench::finish();

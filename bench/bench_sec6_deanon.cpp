@@ -56,7 +56,7 @@ SweepPoint run_point(std::uint64_t seed, int attacker_guards) {
   // Guard selection is bandwidth-weighted, so the relevant attacker
   // share is of guard *bandwidth*, not of guard count.
   double total_bw = 0.0, attacker_bw = 0.0;
-  for (const auto* g : world.consensus().with_flag(dirauth::Flag::kGuard)) {
+  for (const auto* g : world.consensus().guard_entries()) {
     total_bw += g->bandwidth_kbps;
     for (const auto id : attacker.guard_ids())
       if (g->relay == id) attacker_bw += g->bandwidth_kbps;

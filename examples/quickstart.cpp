@@ -20,7 +20,7 @@ int main() {
   std::printf("network up at %s\n", util::format_utc(world.now()).c_str());
   std::printf("  consensus: %zu relays, %zu HSDirs, %zu guards\n",
               world.consensus().size(), world.consensus().hsdir_count(),
-              world.consensus().with_flag(dirauth::Flag::kGuard).size());
+              world.consensus().guard_entries().size());
 
   // Operator side: create a hidden service. Its .onion address is the
   // base32 of the SHA-1 of its public key, exactly as in Tor.

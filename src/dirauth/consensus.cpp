@@ -18,20 +18,66 @@ std::uint64_t next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+// Sort key of one entry: its fingerprint's 8-byte prefix and its input
+// position. Sorting 16-byte keys instead of whole entries (a nickname
+// string and several cache lines each) keeps the sort cheap; entries
+// move exactly once, into their final slot.
+struct RingKey {
+  std::uint64_t prefix;
+  std::uint32_t index;
+};
+
+// Entries in ascending fingerprint order; entries with equal
+// fingerprints keep their input order.
+std::vector<ConsensusEntry> in_ring_order(
+    std::vector<ConsensusEntry> entries) {
+  std::vector<RingKey> keys(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    keys[i] = {digest_prefix(entries[i].fingerprint),
+               static_cast<std::uint32_t>(i)};
+  std::sort(keys.begin(), keys.end(), [&](const RingKey& a, const RingKey& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    const crypto::Fingerprint& fa = entries[a.index].fingerprint;
+    const crypto::Fingerprint& fb = entries[b.index].fingerprint;
+    if (fa != fb) return fa < fb;
+    return a.index < b.index;
+  });
+  std::vector<ConsensusEntry> sorted;
+  sorted.reserve(entries.size());
+  for (const RingKey& k : keys) sorted.push_back(std::move(entries[k.index]));
+  return sorted;
+}
+
 }  // namespace
 
 Consensus::Consensus(util::UnixTime valid_after,
                      std::vector<ConsensusEntry> entries)
     : valid_after_(valid_after),
-      entries_(std::move(entries)),
+      entries_(in_ring_order(std::move(entries))),
       generation_(next_generation()) {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const ConsensusEntry& a, const ConsensusEntry& b) {
-              return a.fingerprint < b.fingerprint;
-            });
   for (std::size_t i = 0; i < entries_.size(); ++i)
     if (has_flag(entries_[i].flags, Flag::kHSDir)) hsdir_indices_.push_back(i);
   build_ring_index();
+  build_flag_views();
+}
+
+void Consensus::build_flag_views() {
+  std::size_t fast = 0;
+  std::size_t guard = 0;
+  for (const ConsensusEntry& e : entries_) {
+    if (has_flag(e.flags, Flag::kFast)) ++fast;
+    if (has_flag(e.flags, Flag::kGuard)) ++guard;
+  }
+  std::vector<const ConsensusEntry*> fast_view;
+  std::vector<const ConsensusEntry*> guard_view;
+  fast_view.reserve(fast);
+  guard_view.reserve(guard);
+  for (const ConsensusEntry& e : entries_) {
+    if (has_flag(e.flags, Flag::kFast)) fast_view.push_back(&e);
+    if (has_flag(e.flags, Flag::kGuard)) guard_view.push_back(&e);
+  }
+  fast_ = std::move(fast_view);
+  guard_ = std::move(guard_view);
 }
 
 void Consensus::build_ring_index() {
@@ -51,7 +97,9 @@ Consensus::Consensus(const Consensus& other)
       entries_(other.entries_),
       hsdir_indices_(other.hsdir_indices_),
       ring_index_(other.ring_index_),
-      generation_(other.entries_.empty() ? 0 : next_generation()) {}
+      generation_(other.entries_.empty() ? 0 : next_generation()) {
+  build_flag_views();
+}
 
 Consensus& Consensus::operator=(const Consensus& other) {
   if (this == &other) return *this;
@@ -60,6 +108,7 @@ Consensus& Consensus::operator=(const Consensus& other) {
   hsdir_indices_ = other.hsdir_indices_;
   ring_index_ = other.ring_index_;
   generation_ = entries_.empty() ? 0 : next_generation();
+  build_flag_views();
   return *this;
 }
 
@@ -68,11 +117,15 @@ Consensus::Consensus(Consensus&& other) noexcept
       entries_(std::move(other.entries_)),
       hsdir_indices_(std::move(other.hsdir_indices_)),
       ring_index_(std::move(other.ring_index_)),
+      fast_(std::move(other.fast_)),
+      guard_(std::move(other.guard_)),
       generation_(std::exchange(other.generation_, 0)) {
   other.valid_after_ = 0;
   other.entries_.clear();
   other.hsdir_indices_.clear();
   other.ring_index_ = RingIndex{};
+  other.fast_.clear();
+  other.guard_.clear();
 }
 
 Consensus& Consensus::operator=(Consensus&& other) noexcept {
@@ -81,11 +134,15 @@ Consensus& Consensus::operator=(Consensus&& other) noexcept {
   entries_ = std::move(other.entries_);
   hsdir_indices_ = std::move(other.hsdir_indices_);
   ring_index_ = std::move(other.ring_index_);
+  fast_ = std::move(other.fast_);
+  guard_ = std::move(other.guard_);
   generation_ = std::exchange(other.generation_, 0);
   other.valid_after_ = 0;
   other.entries_.clear();
   other.hsdir_indices_.clear();
   other.ring_index_ = RingIndex{};
+  other.fast_.clear();
+  other.guard_.clear();
   return *this;
 }
 
@@ -215,13 +272,6 @@ Consensus::responsible_hsdirs_batch(
       out.push_back(&entries_[ring_index_.entry_index((ranks[i] + k) % n)]);
     return out;
   });
-}
-
-std::vector<const ConsensusEntry*> Consensus::with_flag(Flag flag) const {
-  std::vector<const ConsensusEntry*> out;
-  for (const ConsensusEntry& e : entries_)
-    if (has_flag(e.flags, flag)) out.push_back(&e);
-  return out;
 }
 
 }  // namespace torsim::dirauth

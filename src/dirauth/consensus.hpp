@@ -2,6 +2,7 @@
 // that clients, hidden services, and attackers all compute from.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,6 +32,13 @@ struct ConsensusEntry {
   FlagSet flags = 0;
 };
 
+/// One ring walk: up to kHsDirsPerReplica responsible directory entries,
+/// in ring order (the fixed-size form of Consensus::responsible_hsdirs).
+struct ResponsibleSet {
+  std::array<const ConsensusEntry*, crypto::kHsDirsPerReplica> dirs{};
+  std::uint8_t count = 0;
+};
+
 /// An hourly consensus document.
 class Consensus {
  public:
@@ -38,8 +46,9 @@ class Consensus {
   Consensus(util::UnixTime valid_after, std::vector<ConsensusEntry> entries);
 
   // Generation semantics (see generation() below): a copy owns a fresh
-  // entries buffer, so it gets a fresh stamp; a move steals the buffer,
-  // so it keeps the stamp and the source decays to the empty 0.
+  // entries buffer, so it gets a fresh stamp (and flag views rebuilt
+  // over that buffer); a move steals the buffer, so it keeps the stamp
+  // and the views, and the source decays to the empty 0.
   Consensus(const Consensus& other);
   Consensus& operator=(const Consensus& other);
   Consensus(Consensus&& other) noexcept;
@@ -87,7 +96,8 @@ class Consensus {
   /// Allocation-free responsible_hsdirs: writes up to `capacity` entry
   /// pointers into `out` and returns the count written (the same
   /// entries, in the same order, as responsible_hsdirs truncated to
-  /// `capacity`). Hot-path form used by ring caches.
+  /// `capacity`). Hot-path form used by the publish walk and the fetch
+  /// ring cache.
   std::size_t responsible_hsdirs_into(const crypto::DescriptorId& descriptor_id,
                                       const ConsensusEntry** out,
                                       std::size_t capacity) const;
@@ -113,16 +123,29 @@ class Consensus {
   /// are no HSDirs).
   const RingIndex& ring_index() const { return ring_index_; }
 
-  /// Entries with a given flag.
-  std::vector<const ConsensusEntry*> with_flag(Flag flag) const;
+  /// Entries carrying the Fast flag, in entries() order. Built once per
+  /// consensus (and per copy, over the copy's own entries); bind with
+  /// `const auto&` — every publish, fetch and rendezvous samples it.
+  const std::vector<const ConsensusEntry*>& fast_entries() const {
+    return fast_;
+  }
+
+  /// Entries carrying the Guard flag, in entries() order (same
+  /// lifetime rules as fast_entries()).
+  const std::vector<const ConsensusEntry*>& guard_entries() const {
+    return guard_;
+  }
 
  private:
   void build_ring_index();
+  void build_flag_views();
 
   util::UnixTime valid_after_ = 0;
   std::vector<ConsensusEntry> entries_;       // sorted by fingerprint
   std::vector<std::size_t> hsdir_indices_;    // ring order
   RingIndex ring_index_;                      // eytzinger over the ring
+  std::vector<const ConsensusEntry*> fast_;   // into entries_, exact size
+  std::vector<const ConsensusEntry*> guard_;  // into entries_, exact size
   std::uint64_t generation_ = 0;              // 0 = empty default
 };
 

@@ -9,21 +9,8 @@ util::CacheCounters& ring_counters() {
   return counters;
 }
 
-ResponsibleSet to_set(const std::vector<const ConsensusEntry*>& entries) {
-  ResponsibleSet set;
-  for (const ConsensusEntry* e : entries) {
-    if (set.count >= set.dirs.size()) break;
-    set.dirs[set.count++] = e;
-  }
-  return set;
-}
-
-std::vector<const ConsensusEntry*> to_vector(const ResponsibleSet& set) {
-  return {set.dirs.begin(), set.dirs.begin() + set.count};
-}
-
-// Allocation-free ring walk straight into a ResponsibleSet (the
-// single-id hot path; the result matches to_set(responsible_hsdirs)).
+// Allocation-free ring walk straight into a ResponsibleSet (the result
+// matches responsible_hsdirs).
 void fill_set(const Consensus& consensus, const crypto::DescriptorId& id,
               ResponsibleSet& set) {
   set.count = static_cast<std::uint8_t>(
@@ -56,41 +43,6 @@ const ResponsibleSet& ResponsibleSetCache::responsible(
   fill_set(consensus, id, scratch_);
   if (table_.store(id, scratch_)) ring_counters().evict();
   return scratch_;
-}
-
-std::vector<std::vector<const ConsensusEntry*>> ResponsibleSetCache::batch(
-    const Consensus& consensus, const std::vector<crypto::DescriptorId>& ids,
-    int threads) {
-  if (!util::memo_enabled())
-    return consensus.responsible_hsdirs_batch(ids, threads);
-  sync_generation(consensus);
-
-  std::vector<std::vector<const ConsensusEntry*>> out(ids.size());
-  std::vector<std::size_t> miss_indices;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (const ResponsibleSet* hit = table_.find(ids[i])) {
-      ring_counters().hit();
-      out[i] = to_vector(*hit);
-    } else {
-      ring_counters().miss();
-      miss_indices.push_back(i);
-    }
-  }
-  if (!miss_indices.empty()) {
-    // Misses fan out through the existing parallel ring walk (pure
-    // reads of the consensus); the commit back into the cache stays on
-    // this thread, in input order.
-    std::vector<crypto::DescriptorId> miss_ids;
-    miss_ids.reserve(miss_indices.size());
-    for (const std::size_t i : miss_indices) miss_ids.push_back(ids[i]);
-    auto computed = consensus.responsible_hsdirs_batch(miss_ids, threads);
-    for (std::size_t j = 0; j < miss_indices.size(); ++j) {
-      if (table_.store(miss_ids[j], to_set(computed[j])))
-        ring_counters().evict();
-      out[miss_indices[j]] = std::move(computed[j]);
-    }
-  }
-  return out;
 }
 
 util::CacheStats ResponsibleSetCache::stats() {

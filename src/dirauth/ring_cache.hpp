@@ -1,35 +1,27 @@
 // Consensus-generation-keyed cache for responsible-HSDir ring walks.
 //
-// The publish/fetch hot paths resolve the same descriptor ids against
-// the same hourly consensus over and over (every client retry, every
-// replica, every harvester round). A ring walk is a pure function of
-// (consensus, descriptor-id), so its result can be memoized for as long
-// as the consensus stands: the cache stamps the Consensus::generation()
-// it was filled under and drops everything the moment a different
-// consensus shows up. Cached entry pointers therefore always point into
+// The fetch path resolves the same descriptor ids against the same
+// hourly consensus over and over (every client retry, every
+// flash-crowd fetch, every harvester round). Publish does not come
+// through here: hs::ServiceHost walks both replicas once per hour
+// itself and hands that walk to DirectoryNetwork::publish. A ring walk
+// is a pure function of (consensus, descriptor-id), so its result can
+// be memoized for as long as the consensus stands: the cache stamps the
+// Consensus::generation() it was filled under and drops everything the
+// moment a different consensus shows up. Cached entry pointers therefore always point into
 // the live consensus' entries() buffer (see the generation semantics in
 // consensus.hpp — copies re-stamp, moves carry the buffer and stamp).
 //
-// Not thread-safe by design: publish and fetch run in serial sections
-// (hsdir::DirectoryNetworkConfig), and the batch path keeps all cache
-// mutation on the calling thread while misses fan out read-only.
+// Not thread-safe by design: fetch runs in serial sections
+// (hsdir::DirectoryNetworkConfig).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "dirauth/consensus.hpp"
 #include "util/memo.hpp"
 
 namespace torsim::dirauth {
-
-/// One memoized ring walk: up to kHsDirsPerReplica responsible
-/// directory entries, in ring order.
-struct ResponsibleSet {
-  std::array<const ConsensusEntry*, crypto::kHsDirsPerReplica> dirs{};
-  std::uint8_t count = 0;
-};
 
 class ResponsibleSetCache {
  public:
@@ -40,15 +32,6 @@ class ResponsibleSetCache {
   /// returned reference is invalidated by the next call.
   const ResponsibleSet& responsible(const Consensus& consensus,
                                     const crypto::DescriptorId& id);
-
-  /// Drop-in replacement for Consensus::responsible_hsdirs_batch with
-  /// cache prefill: cached ids are answered serially, the misses fan
-  /// out through the parallel batch lookup, and results commit back
-  /// into the cache in input order — output is identical to the
-  /// uncached batch for every thread count and cache setting.
-  std::vector<std::vector<const ConsensusEntry*>> batch(
-      const Consensus& consensus,
-      const std::vector<crypto::DescriptorId>& ids, int threads);
 
   /// Process-wide hit/miss/evict totals across every instance (bench
   /// "cache" telemetry; never part of the metrics goldens).

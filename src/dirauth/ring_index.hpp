@@ -31,6 +31,15 @@
 
 namespace torsim::dirauth {
 
+/// Big-endian first 8 bytes of a digest: the eytzinger node key and the
+/// leading key of the consensus fingerprint sort (compiles to one load
+/// + byte swap).
+inline std::uint64_t digest_prefix(const crypto::Sha1Digest& digest) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < 8; ++i) value = (value << 8) | digest[i];
+  return value;
+}
+
 /// Process-wide routing knob (bench --ring-index=on|off): when off,
 /// Consensus lookups take the kept sorted-scan oracle instead of the
 /// index. Both paths are byte-identical by contract; the knob exists so

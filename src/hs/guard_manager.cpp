@@ -40,7 +40,7 @@ void GuardManager::maintain(const dirauth::Consensus& consensus,
                                  }),
                   guards_.end());
 
-  auto candidates = consensus.with_flag(dirauth::Flag::kGuard);
+  const auto& candidates = consensus.guard_entries();
   if (candidates.empty()) return;
   // Bandwidth-weighted sampling (Tor weights path selection by consensus
   // bandwidth).

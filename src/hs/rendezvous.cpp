@@ -52,7 +52,7 @@ RendezvousOutcome rendezvous_connect(Client& client, ServiceHost& service,
   }
   outcome.client_guard = client_guard->relay;
 
-  const auto fast = consensus.with_flag(dirauth::Flag::kFast);
+  const auto& fast = consensus.fast_entries();
   if (fast.empty()) {
     outcome.failure = RendezvousFailure::kNoRendezvousPoint;
     return outcome;

@@ -4,6 +4,31 @@
 
 namespace torsim::hs {
 
+namespace {
+
+// The ring walk for both replicas: each replica's responsible set, and
+// their fingerprints concatenated in replica order. Returns how many
+// fingerprints it wrote.
+// detlint: hot
+std::size_t walk_replicas(
+    const dirauth::Consensus& consensus,
+    const std::array<crypto::DescriptorId, crypto::kNumReplicas>& ids,
+    std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>& sets,
+    std::array<crypto::Fingerprint, ServiceHost::kMaxResponsible>&
+        fingerprints) {
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < ids.size(); ++r) {
+    dirauth::ResponsibleSet& set = sets[r];
+    set.count = static_cast<std::uint8_t>(consensus.responsible_hsdirs_into(
+        ids[r], set.dirs.data(), set.dirs.size()));
+    for (std::uint8_t k = 0; k < set.count; ++k)
+      fingerprints[n++] = set.dirs[k]->fingerprint;
+  }
+  return n;
+}
+
+}  // namespace
+
 ServiceHost::ServiceHost(crypto::KeyPair key, util::UnixTime created)
     : key_(std::move(key)),
       permanent_id_(crypto::permanent_id_from_fingerprint(key_.fingerprint())),
@@ -24,50 +49,60 @@ std::vector<relay::RelayId> ServiceHost::maybe_publish(
     util::Rng& rng, util::UnixTime now, bool force) {
   if (!online_) return {};
   const std::uint32_t period = crypto::time_period(now, permanent_id_);
-
-  // Fingerprints of the currently responsible HSDirs for both replicas.
-  std::vector<crypto::Fingerprint> responsible;
-  std::vector<relay::RelayId> responsible_relays;
-  const auto replica_ids = crypto::descriptor_ids_for_period(
-      permanent_id_, period, descriptor_cookie_);
-  for (std::uint8_t replica = 0; replica < crypto::kNumReplicas; ++replica) {
-    const auto& id = replica_ids[replica];
-    for (const dirauth::ConsensusEntry* e : consensus.responsible_hsdirs(id)) {
-      responsible.push_back(e->fingerprint);
-      responsible_relays.push_back(e->relay);
-    }
+  if (!replica_ids_valid_ || replica_ids_period_ != period) {
+    replica_ids_ = crypto::descriptor_ids_for_period(permanent_id_, period,
+                                                     descriptor_cookie_);
+    replica_ids_period_ = period;
+    replica_ids_valid_ = true;
   }
-  const bool ring_shifted = responsible != last_responsible_;
+
+  // The currently responsible HSDirs for both replicas: one ring walk,
+  // which also routes the upload if this turns into a publication.
+  std::array<dirauth::ResponsibleSet, crypto::kNumReplicas> walked{};
+  std::array<crypto::Fingerprint, kMaxResponsible> responsible{};
+  const std::size_t count =
+      walk_replicas(consensus, replica_ids_, walked, responsible);
+  const bool ring_shifted =
+      !std::equal(responsible.begin(), responsible.begin() + count,
+                  last_responsible_.begin(),
+                  last_responsible_.begin() + last_responsible_count_);
   if (published_once_ && period == last_period_ && !ring_shifted && !force)
     return {};
 
   // Sample up to 3 introduction points among Fast relays.
   intro_points_.clear();
-  const auto fast = consensus.with_flag(dirauth::Flag::kFast);
+  const auto& fast = consensus.fast_entries();
   if (!fast.empty()) {
     for (int i = 0; i < 3; ++i)
       intro_points_.push_back(fast[rng.index(fast.size())]->fingerprint);
   }
 
-  std::vector<hsdir::Descriptor> descriptors;
+  std::array<hsdir::Descriptor, crypto::kNumReplicas> descriptors;
   for (std::uint8_t replica = 0; replica < crypto::kNumReplicas; ++replica)
-    descriptors.push_back(hsdir::make_descriptor(key_, intro_points_, replica,
-                                                 now, descriptor_cookie_));
+    descriptors[replica] = hsdir::make_descriptor(
+        key_, intro_points_, replica, now, descriptor_cookie_);
 
   last_period_ = period;
   published_once_ = true;
-  last_responsible_ = std::move(responsible);
-  const auto receivers = dirnet.publish(consensus, descriptors);
+  last_responsible_ = responsible;
+  last_responsible_count_ = count;
+  const auto receivers = dirnet.publish(consensus, descriptors, walked);
 
   // Typed outcome: directories the upload never reached despite the
   // network's bounded retries (receivers is deduplicated, so compare
   // against the deduplicated responsible set).
-  std::sort(responsible_relays.begin(), responsible_relays.end());
-  responsible_relays.erase(
-      std::unique(responsible_relays.begin(), responsible_relays.end()),
-      responsible_relays.end());
-  last_publish_lost_ =
-      static_cast<int>(responsible_relays.size() - receivers.size());
+  std::array<relay::RelayId, kMaxResponsible> distinct_relays{};
+  std::size_t distinct = 0;
+  for (const dirauth::ResponsibleSet& set : walked) {
+    for (std::uint8_t k = 0; k < set.count; ++k) {
+      const auto seen =
+          distinct_relays.begin() + static_cast<std::ptrdiff_t>(distinct);
+      if (std::find(distinct_relays.begin(), seen, set.dirs[k]->relay) ==
+          seen)
+        distinct_relays[distinct++] = set.dirs[k]->relay;
+    }
+  }
+  last_publish_lost_ = static_cast<int>(distinct - receivers.size());
 
   // Each upload rides its own guard-fronted circuit (when the service
   // maintains guards; a guard-less service uploads unprotected, which is

@@ -3,6 +3,7 @@
 // responsible HSDirs as time periods roll over.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ struct PublishRecord {
 
 class ServiceHost {
  public:
+  /// Most directories one publication reaches: every replica's full
+  /// responsible set.
+  static constexpr std::size_t kMaxResponsible =
+      crypto::kNumReplicas * crypto::kHsDirsPerReplica;
+
   /// Creates a service with a fresh identity.
   ServiceHost(crypto::KeyPair key, util::UnixTime created);
 
@@ -62,6 +68,7 @@ class ServiceHost {
   /// (or force a republish afterwards).
   void set_descriptor_cookie(std::vector<std::uint8_t> cookie) {
     descriptor_cookie_ = std::move(cookie);
+    replica_ids_valid_ = false;
   }
   const std::vector<std::uint8_t>& descriptor_cookie() const {
     return descriptor_cookie_;
@@ -106,7 +113,17 @@ class ServiceHost {
   std::uint32_t last_period_ = 0;
   bool published_once_ = false;
   int last_publish_lost_ = 0;
-  std::vector<crypto::Fingerprint> last_responsible_;
+  /// Both replicas' descriptor ids for `replica_ids_period_` — a period
+  /// lasts 24 hours, and maybe_publish asks every hour. Dropped when
+  /// the cookie changes.
+  std::array<crypto::DescriptorId, crypto::kNumReplicas> replica_ids_{};
+  std::uint32_t replica_ids_period_ = 0;
+  bool replica_ids_valid_ = false;
+  /// Responsible fingerprints at the last publication, replica 0's
+  /// walk then replica 1's, in the first `last_responsible_count_`
+  /// slots.
+  std::array<crypto::Fingerprint, kMaxResponsible> last_responsible_{};
+  std::size_t last_responsible_count_ = 0;
   std::vector<crypto::Fingerprint> intro_points_;
   std::vector<std::uint8_t> descriptor_cookie_;
   std::vector<PublishRecord> publish_records_;

@@ -6,71 +6,90 @@ namespace torsim::hsdir {
 
 std::vector<relay::RelayId> DirectoryNetwork::publish(
     const dirauth::Consensus& consensus,
-    const std::vector<Descriptor>& descriptors) {
-  // Ring lookups are pure and fan out across threads; the store writes
-  // stay serial and commit in descriptor order, so the directory state
-  // is identical to the serial publish.
-  std::vector<crypto::DescriptorId> ids;
-  ids.reserve(descriptors.size());
-  for (const Descriptor& d : descriptors) ids.push_back(d.descriptor_id);
-  const auto responsible = ring_cache_.batch(consensus, ids, config_.threads);
-
-  std::vector<relay::RelayId> receivers;
-  std::int64_t stored = 0;
-  for (std::size_t i = 0; i < descriptors.size(); ++i) {
-    const std::uint64_t descriptor_key = fault::FaultInjector::key_of(
-        descriptors[i].descriptor_id.data(), descriptors[i].descriptor_id.size());
-    for (const dirauth::ConsensusEntry* e : responsible[i]) {
-      if (injector_ != nullptr && injector_->enabled()) {
-        // Bounded per-directory retry: an upload lost in transit is
-        // re-sent up to max_attempts times; a directory that drops all
-        // of them simply never receives this replica (typed, not
-        // silent).
-        const int max_attempts = injector_->retry().max_attempts;
-        int attempt = 1;
-        bool delivered = false;
-        for (; attempt <= max_attempts; ++attempt) {
-          if (!injector_->publish_lost(descriptor_key, e->relay, attempt)) {
-            delivered = true;
-            break;
-          }
-        }
-        if (!delivered) {
-          failure_log_.push_back({fault::FailureKind::kPublishLost,
-                                  descriptor_key, e->relay, max_attempts});
-          continue;
-        }
-        Descriptor copy = descriptors[i];
-        if (injector_->publish_delayed(descriptor_key, e->relay)) {
-          copy.visible_after = copy.published + injector_->plan().publish_delay;
-          failure_log_.push_back({fault::FailureKind::kPublishDelayed,
-                                  descriptor_key, e->relay, attempt});
-        }
-        DescriptorStore& target = store_for(e->relay);
-        target.observe_epoch(consensus.generation());
-        target.store(std::move(copy));
-        receivers.push_back(e->relay);
-        ++stored;
-        continue;
-      }
-      // Each touched store learns the publish round's consensus
-      // generation — its cue to compact dead arena spans (store.hpp).
-      DescriptorStore& target = store_for(e->relay);
-      target.observe_epoch(consensus.generation());
-      target.store(descriptors[i]);
-      receivers.push_back(e->relay);
-      ++stored;
-    }
-  }
-  std::sort(receivers.begin(), receivers.end());
-  receivers.erase(std::unique(receivers.begin(), receivers.end()),
-                  receivers.end());
+    const std::array<Descriptor, crypto::kNumReplicas>& descriptors,
+    const std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>&
+        responsible) {
+  std::array<relay::RelayId, kMaxReceivers> delivered{};
+  const std::size_t stored =
+      store_replicas(consensus, descriptors, responsible, delivered);
+  // At most six ids: an insertion sort (GCC 12's -Warray-bounds also
+  // misfires on std::sort over a six-slot std::array).
+  for (std::size_t i = 1; i < stored; ++i)
+    for (std::size_t j = i; j > 0 && delivered[j - 1] > delivered[j]; --j)
+      std::swap(delivered[j - 1], delivered[j]);
+  const auto first = delivered.begin();
+  const auto last =
+      std::unique(first, first + static_cast<std::ptrdiff_t>(stored));
   if (config_.metrics != nullptr) {
     config_.metrics->counter("hsdir.publishes")
         .inc(static_cast<std::int64_t>(descriptors.size()));
-    config_.metrics->counter("hsdir.replica_stores").inc(stored);
+    config_.metrics->counter("hsdir.replica_stores")
+        .inc(static_cast<std::int64_t>(stored));
   }
-  return receivers;
+  return std::vector<relay::RelayId>(first, last);
+}
+
+// detlint: hot
+std::size_t DirectoryNetwork::store_replicas(
+    const dirauth::Consensus& consensus,
+    const std::array<Descriptor, crypto::kNumReplicas>& descriptors,
+    const std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>&
+        responsible,
+    std::span<relay::RelayId, kMaxReceivers> receivers) {
+  const bool faults = injector_ != nullptr && injector_->enabled();
+  std::size_t stored = 0;
+  for (std::size_t i = 0; i < descriptors.size(); ++i) {
+    const dirauth::ResponsibleSet& set = responsible[i];
+    for (std::uint8_t k = 0; k < set.count; ++k) {
+      const relay::RelayId hsdir = set.dirs[k]->relay;
+      if (faults) {
+        if (!store_under_faults(consensus.generation(), descriptors[i], hsdir))
+          continue;
+      } else {
+        // Each touched store learns the publish round's consensus
+        // generation — its cue to compact dead arena spans (store.hpp).
+        DescriptorStore& target = store_for(hsdir);
+        target.observe_epoch(consensus.generation());
+        target.store(descriptors[i]);
+      }
+      receivers[stored++] = hsdir;
+    }
+  }
+  return stored;
+}
+
+bool DirectoryNetwork::store_under_faults(std::uint64_t generation,
+                                          const Descriptor& descriptor,
+                                          relay::RelayId hsdir) {
+  const std::uint64_t descriptor_key = fault::FaultInjector::key_of(
+      descriptor.descriptor_id.data(), descriptor.descriptor_id.size());
+  // Bounded per-directory retry: an upload lost in transit is re-sent
+  // up to max_attempts times; a directory that drops all of them simply
+  // never receives this replica (typed, not silent).
+  const int max_attempts = injector_->retry().max_attempts;
+  int attempt = 1;
+  bool delivered = false;
+  for (; attempt <= max_attempts; ++attempt) {
+    if (!injector_->publish_lost(descriptor_key, hsdir, attempt)) {
+      delivered = true;
+      break;
+    }
+  }
+  if (!delivered) {
+    failure_log_.push_back({fault::FailureKind::kPublishLost, descriptor_key,
+                            hsdir, max_attempts});
+    return false;
+  }
+  Descriptor copy = descriptor;
+  if (injector_->publish_delayed(descriptor_key, hsdir)) {
+    copy.visible_after = copy.published + injector_->plan().publish_delay;
+    failure_log_.push_back({fault::FailureKind::kPublishDelayed,
+                            descriptor_key, hsdir, attempt});
+  }
+  DescriptorStore& target = store_for(hsdir);
+  target.observe_epoch(generation);
+  target.store(copy);
+  return true;
 }
 
 std::optional<Descriptor> DirectoryNetwork::fetch_from(

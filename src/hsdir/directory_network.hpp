@@ -3,7 +3,9 @@
 // simulator relay id. Publish/fetch route via the consensus ring.
 #pragma once
 
+#include <array>
 #include <map>
+#include <span>
 
 #include "dirauth/consensus.hpp"
 #include "dirauth/ring_cache.hpp"
@@ -14,11 +16,6 @@
 namespace torsim::hsdir {
 
 struct DirectoryNetworkConfig {
-  /// Worker threads for batched responsible-HSDir ring lookups during
-  /// publish; <= 0 = one per hardware thread, 1 = legacy serial path.
-  /// Store contents are bit-identical for every value (lookups fan
-  /// out; store writes stay serial, in input order).
-  int threads = 0;
   /// Optional metrics sink ("hsdir.*" counters). Publish and fetch run
   /// in serial sections, so plain counters stay deterministic. Must
   /// outlive the network. See docs/observability.md.
@@ -55,17 +52,22 @@ class DirectoryNetwork {
   }
   const fault::FaultInjector* fault_injector() const { return injector_; }
 
-  /// Publishes both replicas of `descriptor`'s service to their
-  /// responsible HSDirs under `consensus`. `descriptors` must hold
-  /// exactly the replicas to publish. Returns the relay ids that
-  /// received a copy (with duplicates removed). Under an active fault
-  /// plan, each per-directory upload is retried (bounded, exponential
-  /// backoff) when lost; uploads still lost after the final attempt
-  /// are surfaced in failure_log() as kPublishLost, and delayed
-  /// uploads are stored but only fetchable after the delay.
+  /// Publishes both replicas of one service under `consensus`:
+  /// descriptors[r] goes to every directory in responsible[r], which
+  /// must be the ring walk of descriptors[r].descriptor_id under this
+  /// same consensus (hs::ServiceHost walks both replicas once per hour
+  /// to decide whether to publish, and hands that walk over instead of
+  /// having it repeated here). Returns the relay ids that received a
+  /// copy (with duplicates removed). Under an active fault plan, each
+  /// per-directory upload is retried (bounded, exponential backoff)
+  /// when lost; uploads still lost after the final attempt are
+  /// surfaced in failure_log() as kPublishLost, and delayed uploads
+  /// are stored but only fetchable after the delay.
   std::vector<relay::RelayId> publish(
       const dirauth::Consensus& consensus,
-      const std::vector<Descriptor>& descriptors);
+      const std::array<Descriptor, crypto::kNumReplicas>& descriptors,
+      const std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>&
+          responsible);
 
   /// Fetches `id` from one responsible HSDir under `consensus`;
   /// `hsdir_relay` receives the id of the directory that answered (or
@@ -96,14 +98,33 @@ class DirectoryNetwork {
   }
 
  private:
+  static constexpr std::size_t kMaxReceivers =
+      crypto::kNumReplicas * crypto::kHsDirsPerReplica;
+
+  /// publish()'s store loop: writes each delivered copy's directory
+  /// into `receivers` (in delivery order, duplicates kept) and returns
+  /// how many it wrote.
+  std::size_t store_replicas(
+      const dirauth::Consensus& consensus,
+      const std::array<Descriptor, crypto::kNumReplicas>& descriptors,
+      const std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>&
+          responsible,
+      std::span<relay::RelayId, kMaxReceivers> receivers);
+
+  /// One upload under an active fault plan: bounded retries, typed
+  /// loss/delay records. Returns whether `hsdir` received a copy.
+  bool store_under_faults(std::uint64_t generation,
+                          const Descriptor& descriptor,
+                          relay::RelayId hsdir);
+
   DirectoryNetworkConfig config_;
   std::map<relay::RelayId, DescriptorStore> stores_;
   const fault::FaultInjector* injector_ = nullptr;
   fault::FailureLog failure_log_;
-  // Memoized ring walks, keyed by consensus generation. Publish and
-  // fetch run in serial sections (see DirectoryNetworkConfig), so the
-  // cache needs no lock; values are pure, so results are identical
-  // with the cache on or off (docs/performance.md).
+  // Memoized fetch ring walks, keyed by consensus generation. Fetch
+  // runs in serial sections, so the cache needs no lock; values are
+  // pure, so results are identical with the cache on or off
+  // (docs/performance.md).
   dirauth::ResponsibleSetCache ring_cache_;
 };
 

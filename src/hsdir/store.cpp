@@ -1,11 +1,12 @@
 #include "hsdir/store.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 namespace torsim::hsdir {
 
-void DescriptorStore::store(Descriptor descriptor) {
+void DescriptorStore::store(const Descriptor& descriptor) {
   StoredDescriptor s;
   s.permanent_id = descriptor.permanent_id;
   s.replica = descriptor.replica;
@@ -31,6 +32,7 @@ void DescriptorStore::store(Descriptor descriptor) {
     descriptors_.emplace(descriptor.descriptor_id, s);
   }
   live_payload_bytes_ += payload_bytes(s);
+  oldest_published_ = std::min(oldest_published_, s.published);
 }
 
 Descriptor DescriptorStore::materialize(const crypto::DescriptorId& id,
@@ -42,12 +44,16 @@ Descriptor DescriptorStore::materialize(const crypto::DescriptorId& id,
   d.time_period = s.time_period;
   d.published = s.published;
   d.visible_after = s.visible_after;
+  // An empty payload copies nothing: memcpy must not see the null
+  // data() of an empty vector (or of a released arena).
   d.service_public_key.resize(s.key_size);
-  std::memcpy(d.service_public_key.data(), arena_.at(s.key_offset),
-              s.key_size);
+  if (s.key_size > 0)
+    std::memcpy(d.service_public_key.data(), arena_.at(s.key_offset),
+                s.key_size);
   d.introduction_points.resize(s.intro_count);
-  std::memcpy(d.introduction_points.data(), arena_.at(s.intro_offset),
-              s.intro_count * sizeof(crypto::Fingerprint));
+  if (s.intro_count > 0)
+    std::memcpy(d.introduction_points.data(), arena_.at(s.intro_offset),
+                s.intro_count * sizeof(crypto::Fingerprint));
   return d;
 }
 
@@ -72,13 +78,24 @@ bool DescriptorStore::contains(const crypto::DescriptorId& id,
 }
 
 void DescriptorStore::expire(util::UnixTime now) {
+  if (descriptors_.empty() || now - oldest_published_ <= kDescriptorLifetime)
+    return;
+  util::UnixTime oldest = std::numeric_limits<util::UnixTime>::max();
   for (auto it = descriptors_.begin(); it != descriptors_.end();) {
     if (now - it->second.published > kDescriptorLifetime) {
       live_payload_bytes_ -= payload_bytes(it->second);
       it = descriptors_.erase(it);
     } else {
+      oldest = std::min(oldest, it->second.published);
       ++it;
     }
+  }
+  oldest_published_ = oldest;
+  if (descriptors_.empty()) {
+    // clear() would keep the capacity; swapping in an empty arena frees
+    // it, so a store whose relay left the ring holds no dead bytes.
+    util::ByteArena empty;
+    arena_.swap(empty);
   }
 }
 

@@ -8,10 +8,14 @@
 // util::ByteArena addressed by offset. Re-publishing a descriptor
 // appends fresh payload bytes and orphans the old span; the arena is
 // compacted when a new consensus generation is observed and the dead
-// share has grown past the live bytes (see observe_epoch()).
+// share has grown past the live bytes (see observe_epoch()). A store
+// that expires its last descriptor releases its arena at once: a relay
+// that left the ring publishes nothing, so it would never reach an
+// epoch observation to compact at.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -34,8 +38,9 @@ inline constexpr util::Seconds kDescriptorLifetime = 24 * util::kSecondsPerHour;
 
 class DescriptorStore {
  public:
-  /// Stores (or refreshes) a descriptor.
-  void store(Descriptor descriptor);
+  /// Stores (or refreshes) a descriptor. Copies the payloads into the
+  /// arena; the argument is only read.
+  void store(const Descriptor& descriptor);
 
   /// Looks a descriptor up by id, honouring expiry at time `now`.
   /// If logging is enabled the request is recorded either way.
@@ -53,7 +58,9 @@ class DescriptorStore {
   /// Drops descriptors published more than kDescriptorLifetime before
   /// `now` (the paper: directories "erase its descriptor from memory"
   /// after the responsibility period). Payload bytes become dead arena
-  /// space, reclaimed at the next compacting epoch observation.
+  /// space, reclaimed at the next compacting epoch observation — or at
+  /// once, when the last descriptor goes. Returns without a scan while
+  /// the oldest-published watermark says nothing can have expired.
   void expire(util::UnixTime now);
 
   /// Tells the store which consensus generation the current publish
@@ -109,6 +116,11 @@ class DescriptorStore {
   void compact();
 
   std::map<crypto::DescriptorId, StoredDescriptor> descriptors_;
+  /// Lower bound on every held descriptor's `published` time (a refresh
+  /// can only raise the true minimum, so it never has to lower this);
+  /// exact again after every expire() scan. Max when empty.
+  util::UnixTime oldest_published_ =
+      std::numeric_limits<util::UnixTime>::max();
   util::ByteArena arena_;
   std::size_t live_payload_bytes_ = 0;
   std::uint64_t epoch_ = 0;

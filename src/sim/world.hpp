@@ -84,9 +84,10 @@ struct WorldConfig {
   /// costs memory on multi-year simulations, so it is switchable).
   bool record_archive = true;
   dirauth::AuthorityPolicy authority_policy{};
-  /// Worker threads for the descriptor-publish ring-lookup fan-out;
-  /// <= 0 = one per hardware thread, 1 = legacy serial path. Results
-  /// are bit-identical for every value (see docs/concurrency.md).
+  /// Worker threads for the world. Nothing in the hour step reads this:
+  /// the step is serial (publish walks each service's ring once, in
+  /// service order), so every value gives the same bytes. Kept for a
+  /// future parallel hour plan; see docs/concurrency.md.
   int threads = 0;
   /// Injected directory/circuit faults (default: none). When enabled the
   /// world owns a FaultInjector and wires it into the directory network;

@@ -47,14 +47,22 @@ double percentile(std::span<const double> values, double p) {
   if (values.empty()) throw std::invalid_argument("percentile: empty input");
   if (p < 0.0 || p > 100.0)
     throw std::invalid_argument("percentile: p outside [0,100]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  std::vector<double> work(values.begin(), values.end());
+  if (work.size() == 1) return work[0];
+  const double rank = p / 100.0 * static_cast<double>(work.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, work.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  // Only the order statistics at lo and hi matter: nth_element puts the
+  // lo-th smallest in place with everything after it no smaller, so the
+  // hi-th (= lo+1-th) smallest is the minimum of that upper part. Same
+  // two values as a full sort, same formula, so the same bits.
+  const auto lo_it = work.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(work.begin(), lo_it, work.end());
+  const double at_lo = *lo_it;
+  const double at_hi =
+      hi == lo ? at_lo : *std::min_element(lo_it + 1, work.end());
+  return at_lo + frac * (at_hi - at_lo);
 }
 
 double median(std::span<const double> values) { return percentile(values, 50.0); }

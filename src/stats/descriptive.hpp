@@ -24,8 +24,8 @@ double stddev(std::span<const double> values);
 double sample_variance(std::span<const double> values);
 
 /// p-th percentile (0..100) with linear interpolation; values need not be
-/// sorted (a sorted copy is made). Throws on empty input or p outside
-/// [0, 100].
+/// sorted (a partially ordered copy is made; no full sort). Throws on
+/// empty input or p outside [0, 100].
 double percentile(std::span<const double> values, double p);
 
 /// Median.

@@ -41,8 +41,8 @@ bool in_parallel_region();
 
 /// Below this many tasks parallel_for runs serially regardless of the
 /// `threads` knob — pool dispatch would cost more than the work it
-/// spreads (e.g. a 2-descriptor publish batch). Purely a scheduling
-/// decision: results are identical either way.
+/// spreads. Purely a scheduling decision: results are identical either
+/// way.
 inline constexpr std::size_t kMinParallelGrain = 32;
 
 /// A fixed-size pool of background workers. `size()` counts the

@@ -331,6 +331,31 @@ TEST(GenerationLifetimeTest, ExpiredPayloadsAreReclaimedAtNextEpoch) {
   EXPECT_EQ(still->service_public_key, fresh.service_public_key);
 }
 
+TEST(GenerationLifetimeTest, ExpiringTheLastDescriptorReleasesTheArena) {
+  // A store whose relay left the ring sees no further publish, so no
+  // epoch observation ever compacts it: expiry of its last descriptor
+  // must free the payload bytes by itself.
+  util::Rng rng(59);
+  hsdir::DescriptorStore store;
+  std::vector<crypto::Fingerprint> intros(3);
+  for (auto& fp : intros)
+    for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
+  store.observe_epoch(1);
+  for (int i = 0; i < 4; ++i)
+    store.store(hsdir::make_descriptor(crypto::KeyPair::generate(rng), intros,
+                                       0, kT0 + i * 3600));
+  ASSERT_GT(store.arena_bytes(), 0u);
+
+  store.expire(kT0 + 26 * 3600);  // the first two are past 24 h
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_GT(store.arena_bytes(), 0u);
+  store.expire(kT0 + 30 * 3600);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.live_payload_bytes(), 0u);
+  EXPECT_EQ(store.arena_bytes(), 0u);
+  EXPECT_EQ(store.compactions(), 0);
+}
+
 // ---------------------------------------------------------------------
 // Interned Fig. 1 labels and the scan CSV (satellite: label-table fix)
 // ---------------------------------------------------------------------

@@ -499,7 +499,7 @@ TEST(GuardManagerTest, SamplingIsBandwidthWeighted) {
   }
   // Median bandwidth is 100, so everyone qualifies for Guard.
   const auto consensus = authority.build_consensus(registry, kT0);
-  ASSERT_EQ(consensus.with_flag(dirauth::Flag::kGuard).size(), 20u);
+  ASSERT_EQ(consensus.guard_entries().size(), 20u);
 
   int fat_selected = 0;
   const int clients = 300;

@@ -263,22 +263,6 @@ TEST(RingCacheTest, MatchesUncachedRingWalk) {
   }
 }
 
-TEST(RingCacheTest, BatchMatchesUncachedBatch) {
-  util::Rng rng(509);
-  const auto consensus = make_consensus(rng, 40);
-  std::vector<crypto::DescriptorId> ids(64);
-  for (auto& id : ids) rng.fill_bytes(id.data(), id.size());
-  // Duplicates exercise the same-batch double-miss path.
-  ids.insert(ids.end(), ids.begin(), ids.begin() + 16);
-
-  const util::MemoEnabledGuard guard(true);
-  dirauth::ResponsibleSetCache cache;
-  const auto expected = consensus.responsible_hsdirs_batch(ids, 1);
-  // Cold batch (all misses), then warm batch (all hits).
-  EXPECT_EQ(cache.batch(consensus, ids, 4), expected);
-  EXPECT_EQ(cache.batch(consensus, ids, 4), expected);
-}
-
 TEST(RingCacheTest, NewConsensusGenerationInvalidates) {
   util::Rng rng(510);
   const auto first = make_consensus(rng, 40);

@@ -376,7 +376,7 @@ TEST(SerialEquivalenceTest, HarvestObsCacheOnOffByteIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// HSDir ring lookups (the publish fan-out)
+// Batched HSDir ring lookups
 // ---------------------------------------------------------------------
 
 TEST(SerialEquivalenceTest, ResponsibleHsdirsBatchMatchesSerialLoop) {

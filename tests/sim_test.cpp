@@ -17,7 +17,7 @@ TEST(WorldTest, BootstrapProducesFlaggedConsensus) {
   const auto& consensus = world.consensus();
   EXPECT_GT(consensus.size(), 100u);  // most relays online & unique IPs
   EXPECT_GT(consensus.hsdir_count(), 40u);
-  EXPECT_FALSE(consensus.with_flag(dirauth::Flag::kGuard).empty());
+  EXPECT_FALSE(consensus.guard_entries().empty());
   EXPECT_EQ(world.now(), default_start_time());
 }
 
