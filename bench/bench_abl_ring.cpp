@@ -16,9 +16,7 @@
 #include "attack/grinding.hpp"
 #include "crypto/digest.hpp"
 #include "dirauth/consensus.hpp"
-#include "dirauth/ring_cache.hpp"
 #include "stats/descriptive.hpp"
-#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -69,11 +67,6 @@ dirauth::Consensus make_ring_consensus(int n) {
   return {0, std::move(entries)};
 }
 
-// Ring-lookup microbench: the fetch-path responsible-set resolution
-// through dirauth::ResponsibleSetCache with the memo cache forced off
-// (cache:0 — every call re-walks the ring) vs on (cache:1 — walks are
-// memoized until the consensus generation changes). The resolved sets
-// are identical in both modes (docs/performance.md).
 // The 1024 lookup targets every ring bench (and the deterministic
 // checksum rows) share.
 std::vector<crypto::DescriptorId> lookup_ids() {
@@ -83,35 +76,21 @@ std::vector<crypto::DescriptorId> lookup_ids() {
   return ids;
 }
 
+// Ring-lookup microbench: the publish/fetch-path responsible-set walk
+// (Consensus::responsible_hsdirs_into over the eytzinger index).
 void BM_RingLookup(benchmark::State& state) {
-  const util::MemoEnabledGuard cache_guard(state.range(0) != 0);
   const dirauth::Consensus consensus = make_ring_consensus(1300);
   const std::vector<crypto::DescriptorId> ids = lookup_ids();
-  dirauth::ResponsibleSetCache cache;
-  for (auto _ : state) {
-    std::size_t sink = 0;
-    for (const auto& id : ids) sink += cache.responsible(consensus, id).count;
-    benchmark::DoNotOptimize(sink);
-  }
-}
-BENCHMARK(BM_RingLookup)->Arg(0)->Arg(1)->ArgName("cache");
-
-// Oracle: the pre-index cold path — a per-id result vector plus the
-// sorted scan over hsdir_indices() with full-entry dereferences — kept
-// callable precisely for this before/after comparison. Timings land in
-// the BENCH json "index" section next to BM_RingLookup/cache:0.
-void BM_RingLookupOracle(benchmark::State& state) {
-  const util::MemoEnabledGuard cache_guard(false);
-  const dirauth::Consensus consensus = make_ring_consensus(1300);
-  const std::vector<crypto::DescriptorId> ids = lookup_ids();
+  dirauth::ResponsibleSet set;
   for (auto _ : state) {
     std::size_t sink = 0;
     for (const auto& id : ids)
-      sink += consensus.responsible_hsdirs_scan(id).size();
+      sink += consensus.responsible_hsdirs_into(id, set.dirs.data(),
+                                                set.dirs.size());
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_RingLookupOracle);
+BENCHMARK(BM_RingLookup);
 
 // Derivation fixture: 32 services x 8 consecutive time periods — the
 // resolver's dictionary-builder shape (many days per onion).
@@ -130,11 +109,8 @@ std::vector<std::uint32_t> derive_periods() {
 }
 
 // Descriptor-id derivation through the lane-batched kernel
-// (crypto/sha1_batch.hpp). cache:0 hits the batch cold path on every
-// call; cache:1 measures the memoized path (all hits after the first
-// iteration).
+// (crypto/sha1_batch.hpp), all periods of one service per call.
 void BM_DeriveDescriptorIds(benchmark::State& state) {
-  const util::MemoEnabledGuard cache_guard(state.range(0) != 0);
   const std::vector<crypto::PermanentId> pids = derive_pids();
   const std::vector<std::uint32_t> periods = derive_periods();
   for (auto _ : state) {
@@ -146,37 +122,19 @@ void BM_DeriveDescriptorIds(benchmark::State& state) {
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_DeriveDescriptorIds)->Arg(0)->Arg(1)->ArgName("cache");
-
-// Oracle: the scalar midstate-fork derivation, one period at a time —
-// the pre-batch implementation, uncached.
-void BM_DeriveDescriptorIdsOracle(benchmark::State& state) {
-  const std::vector<crypto::PermanentId> pids = derive_pids();
-  const std::vector<std::uint32_t> periods = derive_periods();
-  for (auto _ : state) {
-    std::size_t sink = 0;
-    for (const auto& pid : pids)
-      for (const std::uint32_t period : periods) {
-        const auto pair = crypto::descriptor_ids_for_period_scalar(pid, period);
-        sink += pair[0][0];
-      }
-    benchmark::DoNotOptimize(sink);
-  }
-}
-BENCHMARK(BM_DeriveDescriptorIdsOracle);
+BENCHMARK(BM_DeriveDescriptorIds);
 
 // Deterministic checksums over the two kernels' outputs, recorded as
-// rows so tools/diff_bench_rows.py can byte-compare --ring-index=on vs
-// off (and --cache=on vs off) runs in CI: both routes must resolve the
-// same responsible sets and derive the same descriptor ids.
+// rows of BENCH_abl_ring.json: a change to what either kernel returns
+// shows up there, not only in its timings.
 void print_ring_index_rows() {
   bench::print_header("Ring kernels — deterministic checksums");
 
   const dirauth::Consensus consensus = make_ring_consensus(1300);
   const std::vector<crypto::DescriptorId> ids = lookup_ids();
   double relay_sum = 0.0;
-  for (const auto& set : consensus.responsible_hsdirs_batch(ids, 1))
-    for (const dirauth::ConsensusEntry* e : set)
+  for (const auto& id : ids)
+    for (const dirauth::ConsensusEntry* e : consensus.responsible_hsdirs(id))
       relay_sum += static_cast<double>(e->relay);
   bench::print_row("responsible relay-id sum", relay_sum, 0.0);
 
@@ -187,25 +145,6 @@ void print_ring_index_rows() {
          crypto::descriptor_ids_for_periods(pid, periods))
       byte_sum += static_cast<double>(id[0]);
   bench::print_row("derived descriptor-id byte sum", byte_sum, 0.0);
-}
-
-// The non-golden "index" telemetry section: cold-path per-iteration
-// seconds of each kernel against its kept oracle, read back from the
-// recorded google-benchmark runs.
-void record_index_stats() {
-  const auto real_seconds = [](const std::string& name) {
-    for (const obs::BenchReport::BenchmarkRun& run :
-         bench::report().benchmarks())
-      if (run.name == name) return run.real_time_seconds;
-    return 0.0;  // benchmark filtered out of this run
-  };
-  bench::report().set_index_enabled(dirauth::ring_index_enabled());
-  bench::report().set_index_stat("derive_descriptor_ids",
-                                 real_seconds("BM_DeriveDescriptorIdsOracle"),
-                                 real_seconds("BM_DeriveDescriptorIds/cache:0"));
-  bench::report().set_index_stat("ring_lookup",
-                                 real_seconds("BM_RingLookupOracle"),
-                                 real_seconds("BM_RingLookup/cache:0"));
 }
 
 void print_ablation() {
@@ -266,6 +205,5 @@ int main(int argc, char** argv) {
   torsim::bench::run_benchmarks();
   print_ablation();
   print_ring_index_rows();
-  record_index_stats();
   return torsim::bench::finish();
 }

@@ -11,16 +11,9 @@
 //     return torsim::bench::finish();  // writes BENCH_fig1_ports.json
 //   }
 //
-// init() strips three custom flags that google-benchmark leaves in argv:
+// init() strips two custom flags that google-benchmark leaves in argv:
 //   --scale=S       fixture scale (default 1.0 — the paper's numbers)
 //   --bench-out=DIR where BENCH_<name>.json is written (default ".")
-//   --cache=MODE    on|off (default on): the deterministic memo caches
-//                   (docs/performance.md); the rows section is
-//                   byte-identical either way, only timings move
-//   --ring-index=MODE on|off (default on): the eytzinger HSDir ring
-//                   index (dirauth/ring_index.hpp); off routes every
-//                   ring lookup through the kept sorted-scan oracle —
-//                   same rows, only timings move
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -31,14 +24,11 @@
 #include <string>
 #include <vector>
 
-#include "crypto/digest.hpp"
-#include "dirauth/ring_cache.hpp"
 #include "obs/report.hpp"
 #include "population/population.hpp"
 #include "scan/cert_analysis.hpp"
 #include "scan/crawler.hpp"
 #include "scan/port_scanner.hpp"
-#include "util/memo.hpp"
 
 namespace torsim::bench {
 
@@ -101,20 +91,6 @@ inline void init(const std::string& name, int* argc, char** argv) {
       detail::out_dir() = arg.substr(12);
       continue;
     }
-    if (arg.rfind("--cache=", 0) == 0) {
-      const std::string mode = arg.substr(8);
-      if (mode != "on" && mode != "off")
-        throw std::invalid_argument("--cache expects on|off, got " + mode);
-      util::set_memo_enabled(mode == "on");
-      continue;
-    }
-    if (arg.rfind("--ring-index=", 0) == 0) {
-      const std::string mode = arg.substr(13);
-      if (mode != "on" && mode != "off")
-        throw std::invalid_argument("--ring-index expects on|off, got " + mode);
-      dirauth::set_ring_index_enabled(mode == "on");
-      continue;
-    }
     argv[kept++] = argv[i];
   }
   *argc = kept;
@@ -129,13 +105,8 @@ inline void run_benchmarks() {
 }
 
 /// Writes BENCH_<name>.json into --bench-out (default "."); returns the
-/// process exit code. Snapshots the memo-cache telemetry (hit/miss/evict
-/// totals, see docs/performance.md) into the JSON "cache" section first.
+/// process exit code.
 inline int finish() {
-  report().set_cache_enabled(util::memo_enabled());
-  report().set_cache_stats("derivation", crypto::derivation_cache_stats());
-  report().set_cache_stats("ring_lookup", dirauth::ResponsibleSetCache::stats());
-  report().set_cache_stats("secret_id_part", crypto::secret_cache_stats());
   const std::string path = report().write_json(detail::out_dir());
   if (path.empty()) {
     std::fprintf(stderr, "error: cannot write BENCH_%s.json under %s\n",

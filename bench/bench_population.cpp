@@ -192,17 +192,24 @@ void arena_round(obs::PopulationSummary& summary) {
   for (auto& fp : intros)
     for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
 
+  // Replica 0 of service i for the period holding t0.
+  const auto descriptor = [&](std::size_t i) {
+    const crypto::KeyPair& key =
+        pop.service(static_cast<population::ServiceId>(i)).key();
+    const auto pid = crypto::permanent_id_from_fingerprint(key.fingerprint());
+    const std::uint32_t period = crypto::time_period(t0, pid);
+    return hsdir::make_descriptor(key, intros,
+                                  crypto::descriptor_id(pid, period, 0), 0,
+                                  period, t0);
+  };
+
   store.observe_epoch(1);
-  for (std::size_t i = 0; i < count; ++i)
-    store.store(hsdir::make_descriptor(pop.service(
-        static_cast<population::ServiceId>(i)).key(), intros, 0, t0));
+  for (std::size_t i = 0; i < count; ++i) store.store(descriptor(i));
   // Two refresh rounds: same ids, fresh payload spans each time — two
   // thirds of the arena is now dead (strictly more than live, which is
   // the compaction trigger).
   for (int round = 0; round < 2; ++round)
-    for (std::size_t i = 0; i < count; ++i)
-      store.store(hsdir::make_descriptor(pop.service(
-          static_cast<population::ServiceId>(i)).key(), intros, 0, t0));
+    for (std::size_t i = 0; i < count; ++i) store.store(descriptor(i));
   // Next consensus generation: dead > live, so this compacts.
   store.observe_epoch(2);
 

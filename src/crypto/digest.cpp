@@ -51,109 +51,12 @@ std::uint32_t time_period(util::UnixTime t, const PermanentId& id) {
 
 namespace {
 
-// --- Derivation memo caches ------------------------------------------
-//
-// Pure value tables over the rend-spec arithmetic above: a hit returns
-// exactly what the miss path computes, so caching can only skip hashing,
-// never change a result. Shards are thread_local (no locks, no sharing)
-// and self-invalidate against util::memo_epoch(); hit/miss totals are
-// process-wide relaxed atomics (bench telemetry only, see memo.hpp).
-// Only empty-cookie derivations are cacheable — authenticated services
-// mix in an unbounded secret, and their requests are meant to stay
-// expensive/unresolvable anyway.
-
-struct DerivationKey {
-  PermanentId id{};
-  std::uint32_t period = 0;
-  std::uint8_t replica = 0;
-  bool operator==(const DerivationKey&) const = default;
-};
-
-struct DerivationKeyHash {
-  std::uint64_t operator()(const DerivationKey& key) const {
-    std::uint64_t h = util::memo_mix_bytes(key.id.data(), key.id.size());
-    return util::memo_mix_u64(
-        h, (static_cast<std::uint64_t>(key.period) << 8) | key.replica);
-  }
-};
-
-struct SecretKey {
-  std::uint32_t period = 0;
-  std::uint8_t replica = 0;
-  bool operator==(const SecretKey&) const = default;
-};
-
-struct SecretKeyHash {
-  std::uint64_t operator()(const SecretKey& key) const {
-    return util::memo_mix_u64(
-        1469598103934665603ULL,
-        (static_cast<std::uint64_t>(key.period) << 8) | key.replica);
-  }
-};
-
-util::CacheCounters& derivation_counters() {
-  static util::CacheCounters counters;
-  return counters;
-}
-
-util::CacheCounters& secret_counters() {
-  static util::CacheCounters counters;
-  return counters;
-}
-
-struct DerivationShard {
-  util::MemoTable<DerivationKey, DescriptorId, DerivationKeyHash> ids{4096};
-  util::MemoTable<SecretKey, Sha1Digest, SecretKeyHash> secrets{64};
-  std::uint64_t epoch = 0;
-};
-
-DerivationShard& shard() {
-  thread_local DerivationShard local;
-  const std::uint64_t epoch = util::memo_epoch();
-  if (local.epoch != epoch) {
-    local.ids.clear();
-    local.secrets.clear();
-    local.epoch = epoch;
-  }
-  return local;
-}
-
-// Midstate over INT4(period) || cookie — everything of secret-id-part
-// except the trailing replica byte. Copy the returned hasher to fork it
-// per replica.
-Sha1 secret_midstate(std::uint32_t period,
-                     std::span<const std::uint8_t> cookie) {
-  Sha1 hasher;
-  const std::array<std::uint8_t, 4> period_bytes = {
-      static_cast<std::uint8_t>(period >> 24),
-      static_cast<std::uint8_t>(period >> 16),
-      static_cast<std::uint8_t>(period >> 8),
-      static_cast<std::uint8_t>(period)};
-  hasher.update(std::span<const std::uint8_t>(period_bytes));
-  hasher.update(cookie);
-  return hasher;
-}
-
-Sha1Digest finish_secret(Sha1 midstate, std::uint8_t replica) {
-  const std::array<std::uint8_t, 1> replica_byte = {replica};
-  midstate.update(std::span<const std::uint8_t>(replica_byte));
-  return midstate.finalize();
-}
-
-DescriptorId combine_descriptor_id(const PermanentId& id,
-                                   const Sha1Digest& secret) {
-  Sha1 hasher;
-  hasher.update(std::span<const std::uint8_t>(id));
-  hasher.update(std::span<const std::uint8_t>(secret));
-  return hasher.finalize();
-}
-
-// Lane-parallel uncached derivation core: the secret-id-part of every
-// (period, replica) pair is hashed through the batched kernel in one
-// pass, then the combine digests are forked off a shared permanent-id
-// midstate. Writes periods.size() * kNumReplicas ids, period-major /
-// replica-minor — the exact bytes (and order) of looping
-// descriptor_ids_for_period_scalar over the periods.
+// Lane-parallel derivation core: the secret-id-part of every (period,
+// replica) pair is hashed through the batched kernel in one pass, then
+// the combine digests are forked off a shared permanent-id midstate.
+// Writes periods.size() * kNumReplicas ids, period-major /
+// replica-minor — the exact bytes (and order) of looping descriptor_id
+// over the periods and replicas.
 void derive_ids_lanes(const PermanentId& id,
                       std::span<const std::uint32_t> periods,
                       std::span<const std::uint8_t> cookie,
@@ -192,105 +95,46 @@ void derive_ids_lanes(const PermanentId& id,
 
 Sha1Digest secret_id_part(std::uint32_t period, std::uint8_t replica,
                           std::span<const std::uint8_t> cookie) {
-  if (cookie.empty() && util::memo_enabled()) {
-    DerivationShard& local = shard();
-    const SecretKey key{period, replica};
-    if (const Sha1Digest* hit = local.secrets.find(key)) {
-      secret_counters().hit();
-      return *hit;
-    }
-    secret_counters().miss();
-    const Sha1Digest secret = finish_secret(secret_midstate(period, {}), replica);
-    if (local.secrets.store(key, secret)) secret_counters().evict();
-    return secret;
-  }
-  return finish_secret(secret_midstate(period, cookie), replica);
+  const std::array<std::uint8_t, 4> period_bytes = {
+      static_cast<std::uint8_t>(period >> 24),
+      static_cast<std::uint8_t>(period >> 16),
+      static_cast<std::uint8_t>(period >> 8),
+      static_cast<std::uint8_t>(period)};
+  const std::array<std::uint8_t, 1> replica_byte = {replica};
+  Sha1 hasher;
+  hasher.update(std::span<const std::uint8_t>(period_bytes));
+  hasher.update(cookie);
+  hasher.update(std::span<const std::uint8_t>(replica_byte));
+  return hasher.finalize();
 }
 
 DescriptorId descriptor_id(const PermanentId& id, std::uint32_t period,
                            std::uint8_t replica,
                            std::span<const std::uint8_t> cookie) {
-  if (cookie.empty() && util::memo_enabled()) {
-    DerivationShard& local = shard();
-    const DerivationKey key{id, period, replica};
-    if (const DescriptorId* hit = local.ids.find(key)) {
-      derivation_counters().hit();
-      return *hit;
-    }
-    derivation_counters().miss();
-    const DescriptorId result =
-        combine_descriptor_id(id, secret_id_part(period, replica));
-    if (local.ids.store(key, result)) derivation_counters().evict();
-    return result;
-  }
-  return combine_descriptor_id(id, secret_id_part(period, replica, cookie));
+  const Sha1Digest secret = secret_id_part(period, replica, cookie);
+  Sha1 hasher;
+  hasher.update(std::span<const std::uint8_t>(id));
+  hasher.update(std::span<const std::uint8_t>(secret));
+  return hasher.finalize();
 }
 
 std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period(
     const PermanentId& id, std::uint32_t period,
     std::span<const std::uint8_t> cookie) {
   std::array<DescriptorId, kNumReplicas> out{};
-  if (cookie.empty() && util::memo_enabled()) {
-    // The cached path: the secret table already amortizes the shared
-    // midstate across replicas (and across every service in the same
-    // period), so route through the per-replica cache.
-    for (int replica = 0; replica < kNumReplicas; ++replica)
-      out[static_cast<std::size_t>(replica)] =
-          descriptor_id(id, period, static_cast<std::uint8_t>(replica));
-    return out;
-  }
-  // Uncached path: both replicas ride the lane kernel in one batch.
   const std::uint32_t periods[1] = {period};
   derive_ids_lanes(id, std::span<const std::uint32_t>(periods, 1), cookie,
                    out.data());
   return out;
 }
 
-std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period_scalar(
-    const PermanentId& id, std::uint32_t period,
-    std::span<const std::uint8_t> cookie) {
-  // Pre-batch reference path, kept verbatim as the differential oracle:
-  // absorb INT4(period) || cookie once, fork the scalar SHA-1 midstate
-  // per replica, combine each secret with the permanent id.
-  std::array<DescriptorId, kNumReplicas> out{};
-  const Sha1 midstate = secret_midstate(period, cookie);
-  for (int replica = 0; replica < kNumReplicas; ++replica) {
-    const Sha1Digest secret =
-        finish_secret(midstate, static_cast<std::uint8_t>(replica));
-    out[static_cast<std::size_t>(replica)] = combine_descriptor_id(id, secret);
-  }
-  return out;
-}
-
 std::vector<DescriptorId> descriptor_ids_for_periods(
     const PermanentId& id, std::span<const std::uint32_t> periods,
     std::span<const std::uint8_t> cookie) {
-  const std::size_t replicas = static_cast<std::size_t>(kNumReplicas);
-  std::vector<DescriptorId> out(periods.size() * replicas);
-  if (periods.empty()) return out;
-  if (cookie.empty() && util::memo_enabled()) {
-    // Cached path: the memo tables already amortize secrets across
-    // periods and services; reuse the single-period cached derivation.
-    for (std::size_t p = 0; p < periods.size(); ++p) {
-      const auto pair = descriptor_ids_for_period(id, periods[p]);
-      for (std::size_t r = 0; r < replicas; ++r)
-        out[p * replicas + r] = pair[r];
-    }
-    return out;
-  }
-  derive_ids_lanes(id, periods, cookie, out.data());
+  std::vector<DescriptorId> out(periods.size() *
+                                static_cast<std::size_t>(kNumReplicas));
+  if (!periods.empty()) derive_ids_lanes(id, periods, cookie, out.data());
   return out;
-}
-
-util::CacheStats derivation_cache_stats() {
-  return derivation_counters().snapshot();
-}
-
-util::CacheStats secret_cache_stats() { return secret_counters().snapshot(); }
-
-void reset_derivation_cache_stats() {
-  derivation_counters().reset();
-  secret_counters().reset();
 }
 
 util::Seconds seconds_until_rotation(util::UnixTime t, const PermanentId& id) {

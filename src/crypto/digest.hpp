@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "crypto/sha1.hpp"
-#include "util/memo.hpp"
 #include "util/time.hpp"
 
 namespace torsim::crypto {
@@ -63,60 +62,31 @@ Sha1Digest secret_id_part(std::uint32_t period, std::uint8_t replica,
                           std::span<const std::uint8_t> cookie = {});
 
 /// descriptor-id = SHA1(permanent-id || secret-id-part).
-///
-/// Public-service derivations (empty cookie) are served from a
-/// process-wide, thread_local-sharded memo cache when util::memo_enabled()
-/// — a pure value table, so results are byte-identical cache-on vs
-/// cache-off (docs/performance.md). Cookie-bearing derivations always
-/// compute directly (their key domain is unbounded and secret).
 DescriptorId descriptor_id(const PermanentId& id, std::uint32_t period,
                            std::uint8_t replica,
                            std::span<const std::uint8_t> cookie = {});
 
 /// Both replicas' descriptor IDs for one (service, period), in replica
-/// order. The uncached path runs the multi-lane batched SHA-1
-/// (crypto/sha1_batch.hpp): the secret-id-parts of every replica are
-/// hashed in lock-step, then the combine digests are forked off a
-/// shared permanent-id midstate — the same bytes as kNumReplicas
-/// independent scalar derivations, so the output is byte-identical to
-/// descriptor_ids_for_period_scalar (the differential suite asserts
-/// this at randomized schedules).
+/// order, through the multi-lane batched SHA-1 (crypto/sha1_batch.hpp):
+/// the secret-id-parts of every replica are hashed in lock-step, then
+/// the combine digests are forked off a shared permanent-id midstate —
+/// the same bytes as kNumReplicas independent descriptor_id calls (the
+/// differential suite replays a scalar crypto::Sha1 oracle against it
+/// at randomized schedules).
 std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period(
-    const PermanentId& id, std::uint32_t period,
-    std::span<const std::uint8_t> cookie = {});
-
-/// Reference oracle: the pre-batch implementation (scalar Sha1
-/// midstate-fork per replica, no lane kernel, no memo). Kept callable
-/// for the differential suite and the cold-path benches.
-std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period_scalar(
     const PermanentId& id, std::uint32_t period,
     std::span<const std::uint8_t> cookie = {});
 
 /// Whole-block derivation: descriptor IDs for every period in
 /// `periods`, period-major / replica-minor (result[p * kNumReplicas +
 /// r] is replica r of periods[p]) — exactly the flattening of
-/// descriptor_ids_for_period over the periods in order. The uncached
-/// path feeds all periods × replicas through the lane kernel in one
-/// pass, which is where the batch width (and the BM_DeriveDescriptorIds
-/// speedup) comes from; the cached path loops the memoized single-
-/// period derivation. Used by the resolver's dictionary builder, which
-/// derives many consecutive days per onion.
+/// descriptor_ids_for_period over the periods in order. All periods ×
+/// replicas go through the lane kernel in one pass, which is where the
+/// batch width comes from. Used by the resolver's dictionary builder,
+/// which derives many consecutive days per onion.
 std::vector<DescriptorId> descriptor_ids_for_periods(
     const PermanentId& id, std::span<const std::uint32_t> periods,
     std::span<const std::uint8_t> cookie = {});
-
-/// Lifetime hit/miss/evict totals of the descriptor-id memo cache
-/// (summed over all thread shards). Perf telemetry only — totals vary
-/// with thread count, so they feed the bench JSON "cache" section and
-/// never the deterministic metrics goldens.
-util::CacheStats derivation_cache_stats();
-
-/// Same, for the (period, replica) -> secret-id-part table.
-util::CacheStats secret_cache_stats();
-
-/// Zeroes both stat blocks (the shards themselves are invalidated via
-/// util::bump_memo_epoch()).
-void reset_derivation_cache_stats();
 
 /// Seconds until this service's descriptor IDs next rotate.
 util::Seconds seconds_until_rotation(util::UnixTime t, const PermanentId& id);

@@ -4,15 +4,14 @@
 #include <atomic>
 #include <utility>
 
-#include "util/parallel.hpp"
 
 namespace torsim::dirauth {
 
 namespace {
 
-// Monotone identity stamps for ring caches. The counter is process-wide
-// and ordering-dependent, which is fine: generations are compared for
-// equality only and never appear in any output.
+// Monotone identity stamps for consensus buffers. The counter is
+// process-wide and ordering-dependent, which is fine: generations are
+// compared for equality only and never appear in any output.
 std::uint64_t next_generation() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -163,37 +162,6 @@ const ConsensusEntry* Consensus::find_relay(relay::RelayId id) const {
   return nullptr;
 }
 
-std::vector<const ConsensusEntry*> Consensus::responsible_hsdirs_scan(
-    const crypto::DescriptorId& descriptor_id) const {
-  std::vector<const ConsensusEntry*> out;
-  if (hsdir_indices_.empty()) return out;
-  // First HSDir whose fingerprint is strictly greater than the id,
-  // wrapping around the ring; then the next kHsDirsPerReplica - 1.
-  const auto greater = [&](std::size_t idx) {
-    return entries_[idx].fingerprint > descriptor_id;
-  };
-  std::size_t start = hsdir_indices_.size();
-  // hsdir_indices_ is in ascending fingerprint order; binary search the
-  // first index whose entry fingerprint exceeds descriptor_id.
-  std::size_t lo = 0, hi = hsdir_indices_.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (greater(hsdir_indices_[mid]))
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  start = lo;  // may equal size() -> wrap to 0
-  const std::size_t n = hsdir_indices_.size();
-  const std::size_t take =
-      std::min<std::size_t>(crypto::kHsDirsPerReplica, n);
-  for (std::size_t k = 0; k < take; ++k) {
-    const std::size_t idx = hsdir_indices_[(start + k) % n];
-    out.push_back(&entries_[idx]);
-  }
-  return out;
-}
-
 std::size_t Consensus::responsible_hsdirs_into(
     const crypto::DescriptorId& descriptor_id, const ConsensusEntry** out,
     std::size_t capacity) const {
@@ -201,21 +169,6 @@ std::size_t Consensus::responsible_hsdirs_into(
   if (n == 0 || capacity == 0) return 0;
   const std::size_t take = std::min(
       capacity, std::min<std::size_t>(crypto::kHsDirsPerReplica, n));
-  if (!ring_index_enabled()) {
-    // Cold path: same probe sequence as the scan oracle (full-entry
-    // dereferences, no index arrays touched).
-    std::size_t lo = 0, hi = n;
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (entries_[hsdir_indices_[mid]].fingerprint > descriptor_id)
-        hi = mid;
-      else
-        lo = mid + 1;
-    }
-    for (std::size_t k = 0; k < take; ++k)
-      out[k] = &entries_[hsdir_indices_[(lo + k) % n]];
-    return take;
-  }
   const std::size_t start = ring_index_.first_after(descriptor_id);
   for (std::size_t k = 0; k < take; ++k) {
     std::size_t rank = start + k;  // wraps at most once: take <= n
@@ -231,47 +184,6 @@ std::vector<const ConsensusEntry*> Consensus::responsible_hsdirs(
   const std::size_t got =
       responsible_hsdirs_into(descriptor_id, buf, crypto::kHsDirsPerReplica);
   return std::vector<const ConsensusEntry*>(buf, buf + got);
-}
-
-std::vector<std::vector<const ConsensusEntry*>>
-Consensus::responsible_hsdirs_batch(
-    const std::vector<crypto::DescriptorId>& ids, int threads) const {
-  const std::size_t m = ids.size();
-  if (m == 0 || !ring_index_enabled() || ring_index_.empty()) {
-    return util::parallel_map(m, threads, [&](std::size_t i) {
-      return responsible_hsdirs(ids[i]);
-    });
-  }
-  // Indexed batch: resolve the whole query set in sorted order with one
-  // merge walk over the ring per fixed-size chunk, then commit results
-  // in caller order. Chunk boundaries depend only on m, so the ranks
-  // (and the output) are identical for every thread count.
-  std::vector<std::uint32_t> order(m);
-  for (std::size_t i = 0; i < m; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (ids[a] != ids[b]) return ids[a] < ids[b];
-              return a < b;  // stable for duplicate query ids
-            });
-  std::vector<std::uint32_t> ranks(m);
-  constexpr std::size_t kQueryChunk = 1024;
-  const std::size_t chunks = (m + kQueryChunk - 1) / kQueryChunk;
-  util::parallel_for(chunks, threads, [&](std::size_t c) {
-    const std::size_t begin = c * kQueryChunk;
-    const std::size_t len = std::min(kQueryChunk, m - begin);
-    ring_index_.first_after_sorted(ids, order.data() + begin, len,
-                                   ranks.data());
-  });
-  const std::size_t n = ring_index_.size();
-  const std::size_t take =
-      std::min<std::size_t>(crypto::kHsDirsPerReplica, n);
-  return util::parallel_map(m, threads, [&](std::size_t i) {
-    std::vector<const ConsensusEntry*> out;
-    out.reserve(take);
-    for (std::size_t k = 0; k < take; ++k)
-      out.push_back(&entries_[ring_index_.entry_index((ranks[i] + k) % n)]);
-    return out;
-  });
 }
 
 }  // namespace torsim::dirauth

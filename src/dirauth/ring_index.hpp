@@ -14,13 +14,9 @@
 // landing node back to its ring position.
 //
 // The index is built once per consensus construction and is immutable
-// afterwards. The old sorted scan is kept in Consensus as
-// `responsible_hsdirs_scan` — the reference oracle the differential
-// suite (tests/ring_index_diff_test.cpp) replays randomized
-// populations against; `set_ring_index_enabled(false)` routes every
-// production lookup back through the oracle so benches can measure the
-// pre-index cold path and CI can byte-compare the two
-// (docs/performance.md).
+// afterwards. The old sorted scan lives on only as the oracle of the
+// differential suite (tests/ring_index_diff_test.cpp), which replays
+// randomized populations against this index.
 #pragma once
 
 #include <cstdint>
@@ -39,29 +35,6 @@ inline std::uint64_t digest_prefix(const crypto::Sha1Digest& digest) {
   for (std::size_t i = 0; i < 8; ++i) value = (value << 8) | digest[i];
   return value;
 }
-
-/// Process-wide routing knob (bench --ring-index=on|off): when off,
-/// Consensus lookups take the kept sorted-scan oracle instead of the
-/// index. Both paths are byte-identical by contract; the knob exists so
-/// the differential gate and the cold-path benches can exercise each
-/// side on demand. Default on.
-bool ring_index_enabled();
-void set_ring_index_enabled(bool enabled);
-
-/// RAII toggle for tests and benches; restores the previous setting.
-class RingIndexEnabledGuard {
- public:
-  explicit RingIndexEnabledGuard(bool enabled)
-      : previous_(ring_index_enabled()) {
-    set_ring_index_enabled(enabled);
-  }
-  ~RingIndexEnabledGuard() { set_ring_index_enabled(previous_); }
-  RingIndexEnabledGuard(const RingIndexEnabledGuard&) = delete;
-  RingIndexEnabledGuard& operator=(const RingIndexEnabledGuard&) = delete;
-
- private:
-  bool previous_;
-};
 
 class RingIndex {
  public:
@@ -82,23 +55,9 @@ class RingIndex {
   /// wraparound case; callers index with `rank % size()`.
   std::size_t first_after(const crypto::Sha1Digest& id) const;
 
-  /// Successor ranks for a pre-sorted sequence of ids in one merge walk
-  /// over the ring: `order` lists indices into `ids` in ascending id
-  /// order, and ranks[order[j]] receives first_after(ids[order[j]]).
-  /// O(m + n) for the whole batch instead of m log n descents, and
-  /// byte-identical to per-id first_after (wraparound included).
-  void first_after_sorted(const std::vector<crypto::DescriptorId>& ids,
-                          const std::uint32_t* order, std::size_t count,
-                          std::uint32_t* ranks) const;
-
   /// Caller-side handle of the HSDir at `rank` (entries() index).
   std::uint32_t entry_index(std::size_t rank) const {
     return entry_index_[rank];
-  }
-
-  /// Ring fingerprint at `rank` (ascending order).
-  const crypto::Fingerprint& fingerprint(std::size_t rank) const {
-    return sorted_[rank];
   }
 
  private:

@@ -80,7 +80,7 @@ std::vector<relay::RelayId> ServiceHost::maybe_publish(
   std::array<hsdir::Descriptor, crypto::kNumReplicas> descriptors;
   for (std::uint8_t replica = 0; replica < crypto::kNumReplicas; ++replica)
     descriptors[replica] = hsdir::make_descriptor(
-        key_, intro_points_, replica, now, descriptor_cookie_);
+        key_, intro_points_, replica_ids_[replica], replica, period, now);
 
   last_period_ = period;
   published_once_ = true;
@@ -121,6 +121,8 @@ std::vector<relay::RelayId> ServiceHost::maybe_publish(
 std::vector<crypto::DescriptorId> ServiceHost::current_descriptor_ids(
     util::UnixTime now) const {
   const std::uint32_t period = crypto::time_period(now, permanent_id_);
+  if (replica_ids_valid_ && replica_ids_period_ == period)
+    return {replica_ids_.begin(), replica_ids_.end()};
   const auto replica_ids = crypto::descriptor_ids_for_period(
       permanent_id_, period, descriptor_cookie_);
   return {replica_ids.begin(), replica_ids.end()};

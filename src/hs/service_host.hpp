@@ -58,7 +58,9 @@ class ServiceHost {
       const dirauth::Consensus& consensus, hsdir::DirectoryNetwork& dirnet,
       util::Rng& rng, util::UnixTime now, bool force = false);
 
-  /// Current descriptor IDs (replica 0 and 1) at time `now`.
+  /// Current descriptor IDs (replica 0 and 1) at time `now`: the held
+  /// pair when `now` falls in the period maybe_publish last derived,
+  /// otherwise derived afresh.
   std::vector<crypto::DescriptorId> current_descriptor_ids(
       util::UnixTime now) const;
 
@@ -114,8 +116,9 @@ class ServiceHost {
   bool published_once_ = false;
   int last_publish_lost_ = 0;
   /// Both replicas' descriptor ids for `replica_ids_period_` — a period
-  /// lasts 24 hours, and maybe_publish asks every hour. Dropped when
-  /// the cookie changes.
+  /// lasts 24 hours, and maybe_publish asks every hour; the publication
+  /// and current_descriptor_ids read them from here. Dropped when the
+  /// cookie changes.
   std::array<crypto::DescriptorId, crypto::kNumReplicas> replica_ids_{};
   std::uint32_t replica_ids_period_ = 0;
   bool replica_ids_valid_ = false;

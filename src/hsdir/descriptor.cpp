@@ -10,13 +10,13 @@ std::string Descriptor::onion_address() const {
 
 Descriptor make_descriptor(const crypto::KeyPair& key,
                            std::vector<crypto::Fingerprint> intro_points,
-                           std::uint8_t replica, util::UnixTime now,
-                           std::span<const std::uint8_t> cookie) {
+                           const crypto::DescriptorId& descriptor_id,
+                           std::uint8_t replica, std::uint32_t time_period,
+                           util::UnixTime now) {
   Descriptor d;
+  d.descriptor_id = descriptor_id;
   d.permanent_id = crypto::permanent_id_from_fingerprint(key.fingerprint());
-  d.time_period = crypto::time_period(now, d.permanent_id);
-  d.descriptor_id =
-      crypto::descriptor_id(d.permanent_id, d.time_period, replica, cookie);
+  d.time_period = time_period;
   d.service_public_key = key.public_bytes();
   d.introduction_points = std::move(intro_points);
   d.replica = replica;

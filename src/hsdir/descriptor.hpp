@@ -34,12 +34,14 @@ struct Descriptor {
 };
 
 /// Builds the descriptor a service with `key` publishes for `replica`
-/// at time `now`. A non-empty `cookie` produces an authenticated
-/// ("stealth") descriptor whose ID cannot be derived from the onion
-/// address alone.
+/// of `time_period` at time `now`, under `descriptor_id` — which the
+/// caller already holds (hs::ServiceHost keeps both replicas' ids per
+/// period), so nothing is derived here. An authenticated ("stealth")
+/// service passes its cookie-mixed id.
 Descriptor make_descriptor(const crypto::KeyPair& key,
                            std::vector<crypto::Fingerprint> intro_points,
-                           std::uint8_t replica, util::UnixTime now,
-                           std::span<const std::uint8_t> cookie = {});
+                           const crypto::DescriptorId& descriptor_id,
+                           std::uint8_t replica, std::uint32_t time_period,
+                           util::UnixTime now);
 
 }  // namespace torsim::hsdir

@@ -8,7 +8,6 @@
 #include <span>
 
 #include "dirauth/consensus.hpp"
-#include "dirauth/ring_cache.hpp"
 #include "fault/injector.hpp"
 #include "hsdir/store.hpp"
 #include "obs/metrics.hpp"
@@ -121,11 +120,6 @@ class DirectoryNetwork {
   std::map<relay::RelayId, DescriptorStore> stores_;
   const fault::FaultInjector* injector_ = nullptr;
   fault::FailureLog failure_log_;
-  // Memoized fetch ring walks, keyed by consensus generation. Fetch
-  // runs in serial sections, so the cache needs no lock; values are
-  // pure, so results are identical with the cache on or off
-  // (docs/performance.md).
-  dirauth::ResponsibleSetCache ring_cache_;
 };
 
 }  // namespace torsim::hsdir

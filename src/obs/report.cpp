@@ -95,38 +95,6 @@ std::string BenchReport::to_json() const {
 
   json.key("peak_rss_bytes").value(peak_rss_bytes());
 
-  json.key("cache").begin_object();
-  json.key("enabled").value(cache_enabled_);
-  json.key("caches").begin_object();
-  for (const auto& [cache_name, stats] : cache_stats_) {
-    json.key(cache_name).begin_object();
-    json.key("evictions").value(static_cast<std::int64_t>(stats.evictions));
-    json.key("hits").value(static_cast<std::int64_t>(stats.hits));
-    json.key("misses").value(static_cast<std::int64_t>(stats.misses));
-    json.end_object();
-  }
-  json.end_object();
-  json.end_object();
-
-  if (index_section_present_) {
-    json.key("index").begin_object();
-    json.key("enabled").value(index_enabled_);
-    json.key("kernels").begin_object();
-    for (const auto& [kernel_name, stat] : index_stats_) {
-      json.key(kernel_name).begin_object();
-      json.key("indexed_seconds").value(stat.indexed_seconds);
-      json.key("oracle_seconds").value(stat.oracle_seconds);
-      json.key("speedup");
-      if (stat.indexed_seconds > 0.0)
-        json.value(stat.oracle_seconds / stat.indexed_seconds);
-      else
-        json.null();
-      json.end_object();
-    }
-    json.end_object();
-    json.end_object();
-  }
-
   if (serve_section_present_) {
     json.key("serve").begin_object();
     json.key("clients").value(static_cast<std::int64_t>(serve_.clients));

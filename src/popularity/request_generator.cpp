@@ -28,6 +28,19 @@ RequestStream RequestGenerator::generate(
     ++stream.real_ids;  // counts requested services; ids tallied below
     const auto permanent_id =
         crypto::permanent_id_from_fingerprint(svc.key().fingerprint());
+    // Every derive_time below lies within a day of the window, so one
+    // lane batch derives each period a request can name, instead of
+    // two SHA-1s per request.
+    const std::uint32_t first_period = crypto::time_period(
+        std::max<util::UnixTime>(0, t0 - util::kSecondsPerDay),
+        permanent_id);
+    const std::uint32_t last_period = crypto::time_period(
+        t0 + config_.window_length - 1 + util::kSecondsPerDay, permanent_id);
+    std::vector<std::uint32_t> periods;
+    for (std::uint32_t p = first_period; p <= last_period; ++p)
+      periods.push_back(p);
+    const std::vector<crypto::DescriptorId> window_ids =
+        crypto::descriptor_ids_for_periods(permanent_id, periods);
     for (std::int64_t i = 0; i < n; ++i) {
       DescriptorRequest req;
       req.time = t0 + rng.uniform_int(0, config_.window_length - 1);
@@ -42,9 +55,10 @@ RequestStream RequestGenerator::generate(
         derive_time += util::kSecondsPerDay;
       const auto replica = static_cast<std::uint8_t>(
           rng.uniform_int(0, crypto::kNumReplicas - 1));
-      req.descriptor_id = crypto::descriptor_id(
-          permanent_id, crypto::time_period(derive_time, permanent_id),
-          replica);
+      const std::uint32_t period =
+          crypto::time_period(derive_time, permanent_id);
+      req.descriptor_id = window_ids[static_cast<std::size_t>(
+          (period - first_period) * crypto::kNumReplicas + replica)];
       stream.requests.push_back(req);
       ++stream.real_requests;
     }

@@ -28,8 +28,12 @@ std::string_view port_label(std::uint16_t port) {
   }
   char buf[32];
   int len = std::snprintf(buf, sizeof buf, "%u", port);
-  std::memcpy(buf + len, suffix.data(), suffix.size());
-  len += static_cast<int>(suffix.size());
+  // An unannotated port has an empty suffix whose data() is null, and
+  // memcpy from null is undefined even for zero bytes.
+  if (!suffix.empty()) {
+    std::memcpy(buf + len, suffix.data(), suffix.size());
+    len += static_cast<int>(suffix.size());
+  }
   util::StringInterner& interner = util::global_interner();
   return interner.view(
       interner.intern(std::string_view(buf, static_cast<std::size_t>(len))));

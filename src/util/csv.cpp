@@ -17,16 +17,17 @@ std::string csv_escape(const std::string& field) {
   return out;
 }
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+CsvWriter::CsvWriter(const std::string& path)
+    : file_(std::make_unique<std::ofstream>(path)), out_(file_.get()) {
+  if (!*file_) throw std::runtime_error("CsvWriter: cannot open " + path);
 }
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << csv_escape(fields[i]);
+    if (i > 0) *out_ << ',';
+    *out_ << csv_escape(fields[i]);
   }
-  out_ << '\n';
+  *out_ << '\n';
   ++rows_;
 }
 

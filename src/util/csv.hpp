@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <initializer_list>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -13,7 +14,13 @@ namespace torsim::util {
 
 class CsvWriter {
  public:
-  /// Opens `path` for writing; throws std::runtime_error on failure.
+  /// Writes rows to `sink`, which must outlive the writer. The CLI
+  /// writes into a buffer and hands the bytes to its checked,
+  /// temp-then-rename file writer; tests compare the buffer directly.
+  explicit CsvWriter(std::ostream& sink) : out_(&sink) {}
+
+  /// Opens `path` for writing in place; throws std::runtime_error on
+  /// failure.
   explicit CsvWriter(const std::string& path);
 
   /// Writes one row; fields containing commas/quotes/newlines are quoted.
@@ -43,7 +50,8 @@ class CsvWriter {
     return os.str();
   }
 
-  std::ofstream out_;
+  std::unique_ptr<std::ofstream> file_;  // owned sink of the path form
+  std::ostream* out_;
   std::size_t rows_ = 0;
 };
 

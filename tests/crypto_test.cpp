@@ -4,11 +4,13 @@
 #include <cctype>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "crypto/digest.hpp"
 #include "crypto/keypair.hpp"
 #include "crypto/sha1.hpp"
 #include "util/encoding.hpp"
+#include "util/rng.hpp"
 
 namespace torsim::crypto {
 namespace {
@@ -310,6 +312,67 @@ TEST(DigestTest, DescriptorIdMatchesManualSpecComputation) {
   outer.insert(outer.end(), secret.begin(), secret.end());
   EXPECT_EQ(descriptor_id(id, period, replica),
             sha1(std::span<const std::uint8_t>(outer)));
+}
+
+TEST(DigestTest, SecretIdPartMatchesManualSpecComputation) {
+  // secret-id-part = SHA1(INT4(period) || cookie || BYTE(replica)), at
+  // the period extremes, for a public and a stealth service.
+  const std::vector<std::uint8_t> cookie = {0xde, 0xad, 0xbe, 0xef};
+  for (const std::uint32_t period : {0u, 15740u, 0xffffffffu}) {
+    for (const std::uint8_t replica : {std::uint8_t{0}, std::uint8_t{1}}) {
+      for (const auto& c : {std::vector<std::uint8_t>{}, cookie}) {
+        std::vector<std::uint8_t> message = {
+            static_cast<std::uint8_t>(period >> 24),
+            static_cast<std::uint8_t>(period >> 16),
+            static_cast<std::uint8_t>(period >> 8),
+            static_cast<std::uint8_t>(period)};
+        message.insert(message.end(), c.begin(), c.end());
+        message.push_back(replica);
+        EXPECT_EQ(secret_id_part(period, replica, c),
+                  sha1(std::span<const std::uint8_t>(message)))
+            << period << "/" << int{replica} << "/" << c.size();
+      }
+    }
+  }
+}
+
+TEST(DigestTest, DescriptorIdsForPeriodMatchPerReplicaIds) {
+  // The lane-batched pair equals one descriptor_id call per replica,
+  // with and without a descriptor cookie.
+  util::Rng rng(502);
+  const std::vector<std::uint8_t> cookie = {0xde, 0xad, 0xbe, 0xef};
+  for (int i = 0; i < 50; ++i) {
+    PermanentId pid;
+    rng.fill_bytes(pid.data(), pid.size());
+    const auto period =
+        static_cast<std::uint32_t>(rng.uniform_int(15000, 16000));
+    const auto ids = descriptor_ids_for_period(pid, period);
+    const auto auth_ids = descriptor_ids_for_period(pid, period, cookie);
+    for (std::uint8_t replica = 0; replica < kNumReplicas; ++replica) {
+      EXPECT_EQ(ids[replica], descriptor_id(pid, period, replica));
+      EXPECT_EQ(auth_ids[replica],
+                descriptor_id(pid, period, replica, cookie));
+    }
+  }
+}
+
+TEST(DigestTest, CookieIdsDifferFromPublicIds) {
+  // A stealth service's ids cannot be derived from its onion address:
+  // every cookie moves both replicas off the public ids.
+  util::Rng rng(505);
+  PermanentId pid;
+  rng.fill_bytes(pid.data(), pid.size());
+  const auto public_ids = descriptor_ids_for_period(pid, 15740);
+  for (const std::vector<std::uint8_t>& cookie :
+       {std::vector<std::uint8_t>{0}, std::vector<std::uint8_t>{1, 2, 3}}) {
+    const auto auth_ids = descriptor_ids_for_period(pid, 15740, cookie);
+    for (std::size_t r = 0; r < auth_ids.size(); ++r) {
+      EXPECT_NE(auth_ids[r], public_ids[r]);
+      EXPECT_NE(descriptor_id(pid, 15740, static_cast<std::uint8_t>(r),
+                              cookie),
+                public_ids[r]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

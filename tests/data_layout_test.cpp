@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "descriptor_fixture.hpp"
 #include "dirauth/authority.hpp"
 #include "hsdir/descriptor.hpp"
 #include "hsdir/store.hpp"
@@ -257,7 +258,7 @@ TEST(GenerationLifetimeTest, ArenaCompactsOnlyWhenDeadExceedsLiveOnNewEpoch) {
     for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
 
   store.observe_epoch(1);
-  const auto d = hsdir::make_descriptor(key, intros, 0, kT0);
+  const auto d = test_support::make_descriptor(key, intros, 0, kT0);
   store.store(d);
   const std::size_t live = store.live_payload_bytes();
   ASSERT_GT(live, 0u);
@@ -266,7 +267,7 @@ TEST(GenerationLifetimeTest, ArenaCompactsOnlyWhenDeadExceedsLiveOnNewEpoch) {
   // Refresh under the same generation: dead bytes accumulate, but no
   // compaction may run mid-generation (fetch results could be copied
   // out while the publish round is still appending).
-  store.store(hsdir::make_descriptor(key, intros, 0, kT0 + 60));
+  store.store(test_support::make_descriptor(key, intros, 0, kT0 + 60));
   EXPECT_EQ(store.arena_bytes(), 2 * live);
   store.observe_epoch(1);
   EXPECT_EQ(store.arena_bytes(), 2 * live);
@@ -280,7 +281,7 @@ TEST(GenerationLifetimeTest, ArenaCompactsOnlyWhenDeadExceedsLiveOnNewEpoch) {
 
   // Another refresh makes dead == 2x live; the next generation change
   // compacts down to exactly the live bytes.
-  store.store(hsdir::make_descriptor(key, intros, 0, kT0 + 120));
+  store.store(test_support::make_descriptor(key, intros, 0, kT0 + 120));
   EXPECT_EQ(store.arena_bytes(), 3 * live);
   store.observe_epoch(3);
   EXPECT_EQ(store.arena_bytes(), live);
@@ -307,10 +308,10 @@ TEST(GenerationLifetimeTest, ExpiredPayloadsAreReclaimedAtNextEpoch) {
   store.observe_epoch(1);
   const auto old_key = crypto::KeyPair::generate(rng);
   const auto fresh_key = crypto::KeyPair::generate(rng);
-  store.store(hsdir::make_descriptor(old_key, intros, 0, kT0));
+  store.store(test_support::make_descriptor(old_key, intros, 0, kT0));
   const std::size_t one = store.live_payload_bytes();
   const auto fresh =
-      hsdir::make_descriptor(fresh_key, intros, 0, kT0 + 30 * 3600);
+      test_support::make_descriptor(fresh_key, intros, 0, kT0 + 30 * 3600);
   store.store(fresh);
   ASSERT_EQ(store.live_payload_bytes(), 2 * one);
 
@@ -322,7 +323,8 @@ TEST(GenerationLifetimeTest, ExpiredPayloadsAreReclaimedAtNextEpoch) {
   EXPECT_EQ(store.arena_bytes(), 2 * one);
   store.observe_epoch(2);
   EXPECT_EQ(store.arena_bytes(), 2 * one);  // dead == live: kept
-  store.store(hsdir::make_descriptor(fresh_key, intros, 0, kT0 + 31 * 3600));
+  store.store(
+      test_support::make_descriptor(fresh_key, intros, 0, kT0 + 31 * 3600));
   store.observe_epoch(3);
   EXPECT_EQ(store.arena_bytes(), one);
   EXPECT_EQ(store.compactions(), 1);
@@ -342,8 +344,8 @@ TEST(GenerationLifetimeTest, ExpiringTheLastDescriptorReleasesTheArena) {
     for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
   store.observe_epoch(1);
   for (int i = 0; i < 4; ++i)
-    store.store(hsdir::make_descriptor(crypto::KeyPair::generate(rng), intros,
-                                       0, kT0 + i * 3600));
+    store.store(test_support::make_descriptor(
+        crypto::KeyPair::generate(rng), intros, 0, kT0 + i * 3600));
   ASSERT_GT(store.arena_bytes(), 0u);
 
   store.expire(kT0 + 26 * 3600);  // the first two are past 24 h
@@ -394,6 +396,19 @@ TEST(ScanLabelTest, Figure1LabelsAreAnnotatedAndStable) {
     EXPECT_EQ(again[i].first.data(), rows[i].first.data());
   }
   EXPECT_EQ(util::global_interner().size(), interned_before);
+}
+
+TEST(ScanLabelTest, UnannotatedPortIsBareDigits) {
+  // A port without a protocol annotation renders as its digits alone
+  // (the empty-suffix path, which must not copy from a null pointer).
+  scan::ScanReport report;
+  report.open_ports.add(8080, 5);
+  report.open_ports.add(80, 3);
+  const auto rows = report.figure1(1);
+  std::map<std::string_view, std::int64_t> by_label(rows.begin(), rows.end());
+  EXPECT_EQ(by_label.size(), 2u);
+  EXPECT_EQ(by_label["8080"], 5);
+  EXPECT_EQ(by_label["80-http"], 3);
 }
 
 TEST(ScanLabelTest, ScanCsvOutputUnchangedByLabelInterning) {

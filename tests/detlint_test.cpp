@@ -547,11 +547,11 @@ TEST(DetlintGlobals, AllowlistRequiresJustification) {
   std::vector<std::string> errors;
   const auto entries = detlint::parse_globals_allowlist(
       "# comment\n"
-      "src/util/memo.cpp enabled process-wide cache knob, epoch-invalidated\n"
+      "src/util/flags.cpp enabled process-wide knob, set once at startup\n"
       "src/util/logging.cpp g_level\n",  // no justification: error
       &errors);
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].path_substring, "src/util/memo.cpp");
+  EXPECT_EQ(entries[0].path_substring, "src/util/flags.cpp");
   EXPECT_EQ(entries[0].symbol, "enabled");
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("justification"), std::string::npos);
@@ -559,11 +559,11 @@ TEST(DetlintGlobals, AllowlistRequiresJustification) {
 
 TEST(DetlintGlobals, AllowlistSuppressesMatchAndReportsStaleEntries) {
   auto findings = detlint::check_globals(
-      "src/util/memo.cpp", "bool enabled = true;\nint stray = 0;\n");
+      "src/util/flags.cpp", "bool enabled = true;\nint stray = 0;\n");
   ASSERT_EQ(findings.size(), 2u);
   std::vector<std::string> errors;
   const auto entries = detlint::parse_globals_allowlist(
-      "src/util/memo.cpp enabled cache knob\n"
+      "src/util/flags.cpp enabled startup knob\n"
       "src/gone.cpp nothing stale entry that matches no finding\n",
       &errors);
   ASSERT_TRUE(errors.empty());
@@ -787,7 +787,7 @@ TEST(DetlintSources, AnnotatedHotKernelsAreAllocationFree) {
   const std::string root = std::string(TORSIM_SOURCE_DIR);
   for (const std::string rel :
        {"/src/dirauth/ring_index.cpp", "/src/crypto/sha1_batch.cpp",
-        "/src/crypto/grind.cpp", "/src/util/memo.hpp",
+        "/src/crypto/grind.cpp",
         "/src/popularity/resolver.cpp",
         "/src/content/language_detector.cpp",
         "/src/content/topic_classifier.cpp", "/src/dirauth/authority.cpp",

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "descriptor_fixture.hpp"
 #include "dirauth/authority.hpp"
 #include "dirspec/consensus_doc.hpp"
 #include "dirspec/descriptor_doc.hpp"
@@ -152,7 +153,7 @@ TEST(DescriptorDocTest, RoundTrip) {
     rng.fill_bytes(fp.data(), fp.size());
     intro.push_back(fp);
   }
-  const auto original = hsdir::make_descriptor(key, intro, 1, kT0);
+  const auto original = test_support::make_descriptor(key, intro, 1, kT0);
   const auto parsed = parse_descriptor(render_descriptor(original));
   EXPECT_EQ(parsed.descriptor_id, original.descriptor_id);
   EXPECT_EQ(parsed.permanent_id, original.permanent_id);
@@ -167,7 +168,7 @@ TEST(DescriptorDocTest, RoundTrip) {
 TEST(DescriptorDocTest, NoIntroPointsRoundTrip) {
   util::Rng rng(5);
   const auto key = crypto::KeyPair::generate(rng);
-  const auto original = hsdir::make_descriptor(key, {}, 0, kT0);
+  const auto original = test_support::make_descriptor(key, {}, 0, kT0);
   const auto parsed = parse_descriptor(render_descriptor(original));
   EXPECT_TRUE(parsed.introduction_points.empty());
 }
@@ -175,7 +176,7 @@ TEST(DescriptorDocTest, NoIntroPointsRoundTrip) {
 TEST(DescriptorDocTest, DetectsForgedDescriptorId) {
   util::Rng rng(6);
   const auto key = crypto::KeyPair::generate(rng);
-  auto descriptor = hsdir::make_descriptor(key, {}, 0, kT0);
+  auto descriptor = test_support::make_descriptor(key, {}, 0, kT0);
   // Tamper: claim a different descriptor id.
   descriptor.descriptor_id[0] ^= 0xff;
   EXPECT_THROW(parse_descriptor(render_descriptor(descriptor)),
@@ -185,7 +186,7 @@ TEST(DescriptorDocTest, DetectsForgedDescriptorId) {
 TEST(DescriptorDocTest, DetectsWrongReplica) {
   util::Rng rng(7);
   const auto key = crypto::KeyPair::generate(rng);
-  auto descriptor = hsdir::make_descriptor(key, {}, 0, kT0);
+  auto descriptor = test_support::make_descriptor(key, {}, 0, kT0);
   auto text = render_descriptor(descriptor);
   // Flip the replica field only: id check must fail.
   const auto pos = text.find(":0\n");
@@ -239,7 +240,7 @@ TEST_P(ParserMutationTest, ConsensusParserNeverCrashes) {
 TEST_P(ParserMutationTest, DescriptorParserNeverCrashes) {
   util::Rng key_rng(9100 + static_cast<std::uint64_t>(GetParam()));
   const auto key = crypto::KeyPair::generate(key_rng);
-  const auto descriptor = hsdir::make_descriptor(key, {}, 0, kT0);
+  const auto descriptor = test_support::make_descriptor(key, {}, 0, kT0);
   const std::string text = render_descriptor(descriptor);
   util::Rng rng(9200 + static_cast<std::uint64_t>(GetParam()));
   int accepted = 0;
@@ -294,7 +295,7 @@ TEST(ParserTruncationTest, DescriptorTruncatedAtEveryLineBoundary) {
   crypto::Fingerprint fp;
   rng.fill_bytes(fp.data(), fp.size());
   const std::string text =
-      render_descriptor(hsdir::make_descriptor(key, {fp}, 0, kT0));
+      render_descriptor(test_support::make_descriptor(key, {fp}, 0, kT0));
   const auto starts = line_starts(text);
   for (std::size_t i = 1; i < starts.size(); ++i) {
     // Dropping any suffix of lines loses a required keyword: the parser
@@ -353,7 +354,7 @@ TEST(ParserCorruptionTest, CorruptedBase32DescriptorIdRejected) {
   util::Rng rng(43);
   const auto key = crypto::KeyPair::generate(rng);
   const std::string text =
-      render_descriptor(hsdir::make_descriptor(key, {}, 0, kT0));
+      render_descriptor(test_support::make_descriptor(key, {}, 0, kT0));
   const auto id_pos = text.find(' ') + 1;  // after the leading keyword
   // '0', '1', '8', '9' and punctuation are outside the base32 alphabet.
   for (const char garbage : {'0', '1', '8', '9', '!', '_'}) {
@@ -377,7 +378,7 @@ TEST(ParserRoundTripTest, SeededDescriptorRoundTripProperty) {
     const util::UnixTime published =
         kT0 + rng.uniform_int(0, 72) * util::kSecondsPerHour;
     const auto original =
-        hsdir::make_descriptor(key, intro, replica, published);
+        test_support::make_descriptor(key, intro, replica, published);
     const auto parsed = parse_descriptor(render_descriptor(original));
     EXPECT_EQ(parsed.descriptor_id, original.descriptor_id);
     EXPECT_EQ(parsed.introduction_points, original.introduction_points);

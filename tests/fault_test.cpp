@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "descriptor_fixture.hpp"
 #include "dirauth/authority.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -260,7 +261,7 @@ TEST(FaultStoreTest, VisibleAfterGatesFetch) {
   util::Rng rng(31);
   hsdir::DescriptorStore store;
   const auto key = crypto::KeyPair::generate(rng);
-  auto d = hsdir::make_descriptor(key, {}, 0, kT0);
+  auto d = test_support::make_descriptor(key, {}, 0, kT0);
   d.visible_after = kT0 + 7200;
   store.store(d);
   EXPECT_FALSE(store.fetch(d.descriptor_id, kT0 + 7199).has_value());

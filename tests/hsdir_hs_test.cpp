@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "descriptor_fixture.hpp"
 #include "dirauth/authority.hpp"
 #include "hs/client.hpp"
 #include "hs/guard_manager.hpp"
@@ -44,14 +45,16 @@ struct MiniNet {
 TEST(DescriptorTest, MakeDescriptorFieldsConsistent) {
   util::Rng rng(21);
   const auto key = crypto::KeyPair::generate(rng);
-  const auto d = hsdir::make_descriptor(key, {}, 1, kT0);
+  const auto pid = crypto::permanent_id_from_fingerprint(key.fingerprint());
+  const std::uint32_t period = crypto::time_period(kT0, pid);
+  const auto id = crypto::descriptor_id(pid, period, 1);
+  const auto d = hsdir::make_descriptor(key, {}, id, 1, period, kT0);
   EXPECT_EQ(d.replica, 1);
   EXPECT_EQ(d.published, kT0);
-  EXPECT_EQ(d.permanent_id,
-            crypto::permanent_id_from_fingerprint(key.fingerprint()));
-  EXPECT_EQ(d.time_period, crypto::time_period(kT0, d.permanent_id));
-  EXPECT_EQ(d.descriptor_id,
-            crypto::descriptor_id(d.permanent_id, d.time_period, 1));
+  EXPECT_EQ(d.permanent_id, pid);
+  EXPECT_EQ(d.time_period, period);
+  EXPECT_EQ(d.descriptor_id, id);
+  EXPECT_EQ(d.service_public_key, key.public_bytes());
 }
 
 TEST(DescriptorTest, OnionAddressRecoverableFromDescriptor) {
@@ -59,7 +62,7 @@ TEST(DescriptorTest, OnionAddressRecoverableFromDescriptor) {
   // key, from which the onion address is derivable.
   util::Rng rng(22);
   const auto key = crypto::KeyPair::generate(rng);
-  const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
+  const auto d = test_support::make_descriptor(key, {}, 0, kT0);
   EXPECT_EQ(d.onion_address(),
             crypto::onion_address(
                 crypto::permanent_id_from_fingerprint(key.fingerprint())));
@@ -73,7 +76,7 @@ TEST(DescriptorStoreTest, StoreAndFetch) {
   util::Rng rng(23);
   hsdir::DescriptorStore store;
   const auto key = crypto::KeyPair::generate(rng);
-  const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
+  const auto d = test_support::make_descriptor(key, {}, 0, kT0);
   store.store(d);
   EXPECT_EQ(store.size(), 1u);
   const auto fetched = store.fetch(d.descriptor_id, kT0 + 60);
@@ -87,7 +90,7 @@ TEST(DescriptorStoreTest, ExpiryAfter24Hours) {
   util::Rng rng(24);
   hsdir::DescriptorStore store;
   const auto key = crypto::KeyPair::generate(rng);
-  const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
+  const auto d = test_support::make_descriptor(key, {}, 0, kT0);
   store.store(d);
   EXPECT_TRUE(store.fetch(d.descriptor_id, kT0 + 24 * 3600).has_value());
   EXPECT_FALSE(store.fetch(d.descriptor_id, kT0 + 24 * 3600 + 1).has_value());
@@ -100,7 +103,7 @@ TEST(DescriptorStoreTest, FetchLogRecordsHitsAndMisses) {
   hsdir::DescriptorStore store;
   store.enable_logging(true);
   const auto key = crypto::KeyPair::generate(rng);
-  const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
+  const auto d = test_support::make_descriptor(key, {}, 0, kT0);
   store.store(d);
   (void)store.fetch(d.descriptor_id, kT0 + 1);
   crypto::DescriptorId missing{};
@@ -449,6 +452,31 @@ TEST(StealthServiceTest, UnauthorizedClientCannotDeriveId) {
       host.onion_address(), net.consensus, net.dirnet, kT0 + 10,
       std::vector<std::uint8_t>{1, 2, 3});
   EXPECT_FALSE(wrong.found);
+}
+
+TEST(StealthServiceTest, CurrentIdsFollowPeriodAndCookieAfterPublish) {
+  // After a publication the host answers from its held pair; that pair
+  // must never outlive its period or a cookie change.
+  MiniNet net(40, 10 * util::kSecondsPerDay);
+  util::Rng rng(74);
+  auto host = hs::ServiceHost::create(rng, kT0);
+  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  const auto pid = host.permanent_id();
+  const auto ids_at = [&](util::UnixTime t,
+                          std::span<const std::uint8_t> cookie) {
+    const auto pair =
+        crypto::descriptor_ids_for_period(pid, crypto::time_period(t, pid),
+                                          cookie);
+    return std::vector<crypto::DescriptorId>(pair.begin(), pair.end());
+  };
+  EXPECT_EQ(host.current_descriptor_ids(kT0), ids_at(kT0, {}));
+  const util::UnixTime next_day = kT0 + util::kSecondsPerDay;
+  EXPECT_EQ(host.current_descriptor_ids(next_day), ids_at(next_day, {}));
+  EXPECT_NE(host.current_descriptor_ids(next_day), ids_at(kT0, {}));
+
+  const std::vector<std::uint8_t> cookie = {9, 9, 9};
+  host.set_descriptor_cookie(cookie);
+  EXPECT_EQ(host.current_descriptor_ids(kT0), ids_at(kT0, cookie));
 }
 
 TEST(StealthServiceTest, MeasuringHsdirCannotResolveCookieRequests) {

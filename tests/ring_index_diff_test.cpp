@@ -1,11 +1,10 @@
 // Differential suite for the eytzinger HSDir ring index
-// (dirauth/ring_index.hpp): the kept sorted-scan oracle
-// (Consensus::responsible_hsdirs_scan) is replayed against the indexed
-// paths over randomized populations and query schedules — single
-// lookups, the merge-walk batch (threads 1/4/8), the fetch path's
-// ResponsibleSetCache (cache on/off), and the property edge cases
-// (empty ring, < kHsDirsPerReplica HSDirs, duplicate fingerprints,
-// exact-hit and past-ring-max queries).
+// (dirauth/ring_index.hpp): a sorted-scan oracle built from the public
+// entries() / hsdir_indices() is replayed against the indexed lookups
+// over randomized populations and query schedules — the vector and
+// the allocation-free forms, and the property edge cases (empty ring,
+// < kHsDirsPerReplica HSDirs, duplicate fingerprints, exact-hit and
+// past-ring-max queries).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +14,7 @@
 
 #include "crypto/digest.hpp"
 #include "dirauth/consensus.hpp"
-#include "dirauth/ring_cache.hpp"
 #include "dirauth/ring_index.hpp"
-#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace torsim::dirauth {
@@ -35,6 +32,30 @@ Consensus make_consensus(util::Rng& rng, int hsdirs, int others) {
     entries.push_back(e);
   }
   return {0, std::move(entries)};
+}
+
+// The pre-index lookup, kept as the oracle: binary search over
+// hsdir_indices() for the first HSDir whose fingerprint is strictly
+// greater than the id, wrapping around the ring, then the next
+// kHsDirsPerReplica - 1.
+std::vector<const ConsensusEntry*> responsible_hsdirs_scan(
+    const Consensus& c, const crypto::DescriptorId& descriptor_id) {
+  const std::vector<std::size_t>& ring = c.hsdir_indices();
+  std::vector<const ConsensusEntry*> out;
+  if (ring.empty()) return out;
+  std::size_t lo = 0, hi = ring.size();
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (c.entries()[ring[mid]].fingerprint > descriptor_id)
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  const std::size_t take =
+      std::min<std::size_t>(crypto::kHsDirsPerReplica, ring.size());
+  for (std::size_t k = 0; k < take; ++k)
+    out.push_back(&c.entries()[ring[(lo + k) % ring.size()]]);
+  return out;
 }
 
 std::vector<crypto::DescriptorId> random_ids(util::Rng& rng,
@@ -65,19 +86,11 @@ std::vector<crypto::DescriptorId> adversarial_ids(util::Rng& rng,
   ids.push_back(all_ff);
   crypto::DescriptorId all_00{};
   ids.push_back(all_00);
-  // Duplicates: the batch path must answer repeats identically.
+  // Duplicates: repeated queries must answer identically.
   const std::size_t base = ids.size();
   for (std::size_t i = 0; i < std::min<std::size_t>(8, base); ++i)
     ids.push_back(ids[i * 3 % base]);
   return ids;
-}
-
-void expect_same_sets(
-    const std::vector<std::vector<const ConsensusEntry*>>& got,
-    const std::vector<std::vector<const ConsensusEntry*>>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], want[i]) << "query " << i;
 }
 
 TEST(RingIndexDiffTest, RandomizedPopulationsMatchScanOracle) {
@@ -85,17 +98,8 @@ TEST(RingIndexDiffTest, RandomizedPopulationsMatchScanOracle) {
   for (const int hsdirs : {1, 2, 3, 5, 64, 1300}) {
     const Consensus c = make_consensus(rng, hsdirs, hsdirs / 3);
     const auto ids = adversarial_ids(rng, c);
-    for (const auto& id : ids) {
-      const auto oracle = c.responsible_hsdirs_scan(id);
-      {
-        const RingIndexEnabledGuard on(true);
-        EXPECT_EQ(c.responsible_hsdirs(id), oracle);
-      }
-      {
-        const RingIndexEnabledGuard off(false);
-        EXPECT_EQ(c.responsible_hsdirs(id), oracle);
-      }
-    }
+    for (const auto& id : ids)
+      EXPECT_EQ(c.responsible_hsdirs(id), responsible_hsdirs_scan(c, id));
   }
 }
 
@@ -107,11 +111,10 @@ TEST(RingIndexDiffTest, EmptyConsensusAndNoHsdirs) {
   for (const Consensus* c : {&empty, &no_hsdirs}) {
     EXPECT_TRUE(c->ring_index().empty());
     EXPECT_TRUE(c->responsible_hsdirs(id).empty());
-    EXPECT_TRUE(c->responsible_hsdirs_scan(id).empty());
+    EXPECT_TRUE(responsible_hsdirs_scan(*c, id).empty());
     const ConsensusEntry* buf[crypto::kHsDirsPerReplica];
     EXPECT_EQ(c->responsible_hsdirs_into(id, buf, crypto::kHsDirsPerReplica),
               0u);
-    EXPECT_TRUE(c->responsible_hsdirs_batch({id, id}, 1)[0].empty());
   }
 }
 
@@ -122,7 +125,7 @@ TEST(RingIndexDiffTest, FewerHsdirsThanReplicaSetWraps) {
   for (const int hsdirs : {1, 2}) {
     const Consensus c = make_consensus(rng, hsdirs, 2);
     for (const auto& id : adversarial_ids(rng, c)) {
-      const auto oracle = c.responsible_hsdirs_scan(id);
+      const auto oracle = responsible_hsdirs_scan(c, id);
       EXPECT_EQ(oracle.size(), static_cast<std::size_t>(hsdirs));
       EXPECT_EQ(c.responsible_hsdirs(id), oracle);
     }
@@ -149,79 +152,29 @@ TEST(RingIndexDiffTest, DuplicateFingerprintsMatchOracle) {
   }
   const Consensus c(0, std::move(entries));
   for (const auto& id : adversarial_ids(rng, c))
-    EXPECT_EQ(c.responsible_hsdirs(id), c.responsible_hsdirs_scan(id));
+    EXPECT_EQ(c.responsible_hsdirs(id), responsible_hsdirs_scan(c, id));
 }
 
-TEST(RingIndexDiffTest, BatchMatchesSinglesAcrossThreadsAndSettings) {
-  util::Rng rng(505);
-  const Consensus c = make_consensus(rng, 200, 40);
-  auto ids = adversarial_ids(rng, c);
-  const auto more = random_ids(rng, 3000);  // force multiple walk chunks
-  ids.insert(ids.end(), more.begin(), more.end());
-
-  std::vector<std::vector<const ConsensusEntry*>> oracle;
-  oracle.reserve(ids.size());
-  for (const auto& id : ids) oracle.push_back(c.responsible_hsdirs_scan(id));
-
-  for (const bool index_on : {true, false}) {
-    const RingIndexEnabledGuard index_guard(index_on);
-    for (const int threads : {1, 4, 8})
-      expect_same_sets(c.responsible_hsdirs_batch(ids, threads), oracle);
-  }
-}
-
-TEST(RingIndexDiffTest, ResponsibleSetCacheMatchesOracle) {
+TEST(RingIndexDiffTest, ResponsibleSetWalkMatchesOracle) {
+  // The publish and fetch walks' allocation-free form, at every
+  // capacity: the oracle's set truncated to `capacity`, in ring order.
   util::Rng rng(506);
   const Consensus c = make_consensus(rng, 300, 50);
   auto ids = adversarial_ids(rng, c);
   const auto more = random_ids(rng, 500);
   ids.insert(ids.end(), more.begin(), more.end());
-
-  std::vector<std::vector<const ConsensusEntry*>> oracle;
-  oracle.reserve(ids.size());
-  for (const auto& id : ids) oracle.push_back(c.responsible_hsdirs_scan(id));
-
-  for (const bool index_on : {true, false}) {
-    const RingIndexEnabledGuard index_guard(index_on);
-    for (const bool cache_on : {false, true}) {
-      const util::MemoEnabledGuard cache_guard(cache_on);
-      ResponsibleSetCache cache;
-      // Every id, then a second pass over a sample (cache hits).
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        const ResponsibleSet& set = cache.responsible(c, ids[i]);
-        ASSERT_EQ(set.count, oracle[i].size());
-        for (std::size_t k = 0; k < set.count; ++k)
-          EXPECT_EQ(set.dirs[k], oracle[i][k]);
-      }
-      for (std::size_t i = 0; i < ids.size(); i += 97) {
-        const ResponsibleSet& again = cache.responsible(c, ids[i]);
-        ASSERT_EQ(again.count, oracle[i].size());
-        for (std::size_t k = 0; k < again.count; ++k)
-          EXPECT_EQ(again.dirs[k], oracle[i][k]);
-      }
+  for (const auto& id : ids) {
+    const auto oracle = responsible_hsdirs_scan(c, id);
+    for (std::size_t capacity = 0; capacity <= crypto::kHsDirsPerReplica;
+         ++capacity) {
+      ResponsibleSet set;
+      set.count = static_cast<std::uint8_t>(
+          c.responsible_hsdirs_into(id, set.dirs.data(), capacity));
+      ASSERT_EQ(set.count, std::min(capacity, oracle.size()));
+      for (std::size_t k = 0; k < set.count; ++k)
+        EXPECT_EQ(set.dirs[k], oracle[k]);
     }
   }
-}
-
-TEST(RingIndexDiffTest, FirstAfterSortedMatchesPerIdDescent) {
-  // The merge walk must equal per-id first_after for every query,
-  // including duplicate ids and the wraparound sentinel (rank == n).
-  util::Rng rng(507);
-  const Consensus c = make_consensus(rng, 128, 0);
-  const RingIndex& index = c.ring_index();
-  auto ids = adversarial_ids(rng, c);
-  std::vector<std::uint32_t> order(ids.size());
-  for (std::size_t i = 0; i < order.size(); ++i)
-    order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (ids[a] != ids[b]) return ids[a] < ids[b];
-              return a < b;
-            });
-  std::vector<std::uint32_t> ranks(ids.size());
-  index.first_after_sorted(ids, order.data(), order.size(), ranks.data());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    EXPECT_EQ(ranks[i], index.first_after(ids[i])) << "query " << i;
 }
 
 TEST(RingIndexDiffTest, IndexSurvivesCopyAndMove) {
@@ -229,7 +182,8 @@ TEST(RingIndexDiffTest, IndexSurvivesCopyAndMove) {
   Consensus original = make_consensus(rng, 50, 10);
   const auto ids = random_ids(rng, 64);
   std::vector<std::vector<const ConsensusEntry*>> oracle;
-  for (const auto& id : ids) oracle.push_back(original.responsible_hsdirs_scan(id));
+  for (const auto& id : ids)
+    oracle.push_back(responsible_hsdirs_scan(original, id));
   const auto check = [&](const Consensus& c) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
       const auto got = c.responsible_hsdirs(ids[i]);

@@ -1,21 +1,20 @@
 // Golden regression gate for the scenario engine (`ctest -L scenario`):
 // every curated pack under scenarios/ must replay byte-identically —
 // timeline CSV and metrics JSON — against the committed goldens under
-// scenarios/golden/, at --threads 1/4/8 with the memo caches on and
-// off. A diff here means the simulation's observable history changed;
-// regenerate deliberately (docs/scenarios.md) or fix the regression.
+// scenarios/golden/, at --threads 1/4/8. A diff here means the
+// simulation's observable history changed; regenerate deliberately
+// (docs/scenarios.md) or fix the regression.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/pack.hpp"
-#include "temp_dir.hpp"
 #include "util/csv.hpp"
-#include "util/memo.hpp"
 
 namespace torsim::scenario {
 namespace {
@@ -41,8 +40,8 @@ struct RunBytes {
 };
 
 /// Replays `pack` and captures the exact bytes the CLI would emit for
-/// --csv and --metrics-out (same CsvWriter / MetricsRegistry code
-/// paths, so golden equality really is artifact equality).
+/// --csv and --metrics-out (the CLI, too, renders the CSV into memory
+/// before writing it, so golden equality really is artifact equality).
 RunBytes run_bytes(const ScenarioPack& pack, int threads,
                    const std::string& fault_override = "") {
   obs::MetricsRegistry metrics;
@@ -52,20 +51,16 @@ RunBytes run_bytes(const ScenarioPack& pack, int threads,
   config.metrics = &metrics;
   const ScenarioRunReport report = run_pack(pack, config);
 
-  const test_support::TempDir dir;
-  const std::string path = dir.file(pack.name + ".csv");
-  {
-    util::CsvWriter csv(path);
-    report.write_timeline(csv);
-  }
-  std::ifstream in(path, std::ios::binary);
-  return RunBytes{std::string(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>()),
-                  metrics.to_json()};
+  std::ostringstream csv_bytes;
+  util::CsvWriter csv(csv_bytes);
+  report.write_timeline(csv);
+  return RunBytes{csv_bytes.str(), metrics.to_json()};
 }
 
 class ScenarioGoldenTest : public ::testing::TestWithParam<std::string> {};
 
+// "AndCache" in the name is historical: the memo caches it also
+// toggled are gone; the name stays so the test's history lines up.
 TEST_P(ScenarioGoldenTest, ReplaysByteIdenticalAcrossThreadsAndCache) {
   const ScenarioPack pack = load_pack(kScenarioDir, GetParam());
   const std::string golden_csv =
@@ -76,16 +71,11 @@ TEST_P(ScenarioGoldenTest, ReplaysByteIdenticalAcrossThreadsAndCache) {
   ASSERT_FALSE(golden_metrics.empty());
 
   for (const int threads : {1, 4, 8}) {
-    for (const bool cache : {true, false}) {
-      util::MemoEnabledGuard guard(cache);
-      const RunBytes bytes = run_bytes(pack, threads);
-      EXPECT_EQ(bytes.timeline_csv, golden_csv)
-          << pack.name << " timeline diverged at threads=" << threads
-          << " cache=" << (cache ? "on" : "off");
-      EXPECT_EQ(bytes.metrics_json, golden_metrics)
-          << pack.name << " metrics diverged at threads=" << threads
-          << " cache=" << (cache ? "on" : "off");
-    }
+    const RunBytes bytes = run_bytes(pack, threads);
+    EXPECT_EQ(bytes.timeline_csv, golden_csv)
+        << pack.name << " timeline diverged at threads=" << threads;
+    EXPECT_EQ(bytes.metrics_json, golden_metrics)
+        << pack.name << " metrics diverged at threads=" << threads;
   }
 }
 
@@ -128,7 +118,7 @@ TEST(ScenarioPackInventoryTest, ListPacksSkipsSubdirectories) {
 
 // Chaos composition: a scenario replayed on top of a --faults override
 // (the CLI's random-fault knob) must still be a pure function of the
-// seed — identical bytes at every thread count and cache mode, even
+// seed — identical bytes at every thread count, even
 // though the override changes the history itself.
 TEST(ScenarioChaosComposeTest, FaultOverrideStaysDeterministic) {
   const ScenarioPack pack = load_pack(kScenarioDir, "authority-outage");
@@ -137,14 +127,11 @@ TEST(ScenarioChaosComposeTest, FaultOverrideStaysDeterministic) {
             run_bytes(pack, 1).timeline_csv)
       << "severe fault override should visibly change the timeline";
   for (const int threads : {4, 8}) {
-    for (const bool cache : {true, false}) {
-      util::MemoEnabledGuard guard(cache);
-      const RunBytes bytes = run_bytes(pack, threads, "severe");
-      EXPECT_EQ(bytes.timeline_csv, reference.timeline_csv)
-          << "threads=" << threads << " cache=" << cache;
-      EXPECT_EQ(bytes.metrics_json, reference.metrics_json)
-          << "threads=" << threads << " cache=" << cache;
-    }
+    const RunBytes bytes = run_bytes(pack, threads, "severe");
+    EXPECT_EQ(bytes.timeline_csv, reference.timeline_csv)
+        << "threads=" << threads;
+    EXPECT_EQ(bytes.metrics_json, reference.metrics_json)
+        << "threads=" << threads;
   }
 }
 

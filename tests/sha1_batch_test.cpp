@@ -7,6 +7,7 @@
 // midstate forking, lane compaction at mixed message lengths).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,7 +15,6 @@
 #include "crypto/digest.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha1_batch.hpp"
-#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace torsim::crypto {
@@ -188,10 +188,38 @@ TEST(Sha1BatchTest, RandomizedMidstateSchedulesMatchScalar) {
   }
 }
 
+// The pre-batch derivation, kept as the oracle of the lane wiring:
+// fork one scalar SHA-1 midstate over INT4(period) || cookie per
+// replica, then combine each secret-id-part with the permanent id.
+std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period_scalar(
+    const PermanentId& id, std::uint32_t period,
+    std::span<const std::uint8_t> cookie) {
+  Sha1 midstate;
+  const std::array<std::uint8_t, 4> period_bytes = {
+      static_cast<std::uint8_t>(period >> 24),
+      static_cast<std::uint8_t>(period >> 16),
+      static_cast<std::uint8_t>(period >> 8),
+      static_cast<std::uint8_t>(period)};
+  midstate.update(std::span<const std::uint8_t>(period_bytes));
+  midstate.update(cookie);
+  std::array<DescriptorId, kNumReplicas> out{};
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    Sha1 secret = midstate;
+    const std::array<std::uint8_t, 1> replica = {
+        static_cast<std::uint8_t>(r)};
+    secret.update(std::span<const std::uint8_t>(replica));
+    const Sha1Digest secret_part = secret.finalize();
+    Sha1 combine;
+    combine.update(std::span<const std::uint8_t>(id));
+    combine.update(std::span<const std::uint8_t>(secret_part));
+    out[r] = combine.finalize();
+  }
+  return out;
+}
+
 TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
-  // The production wiring: descriptor_ids_for_period(s) on the uncached
-  // path must reproduce the kept scalar oracle exactly, cookie or not.
-  const util::MemoEnabledGuard cache_guard(false);
+  // The production wiring: descriptor_ids_for_period(s) must reproduce
+  // the scalar oracle exactly, cookie or not.
   util::Rng rng(408);
   const Bytes cookie = random_bytes(rng, 16);
   for (int trial = 0; trial < 20; ++trial) {
@@ -220,27 +248,6 @@ TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
       }
     }
   }
-}
-
-TEST(Sha1BatchTest, DeriveIdsCachedPathMatchesColdPath) {
-  // Memo on vs off must be byte-identical (the memo is a pure value
-  // table; the lane kernel only replaces the miss computation).
-  util::Rng rng(409);
-  PermanentId pid{};
-  rng.fill_bytes(pid.data(), pid.size());
-  std::vector<std::uint32_t> periods = {15000, 15001, 15002};
-  std::vector<DescriptorId> cold, warm;
-  {
-    const util::MemoEnabledGuard off(false);
-    cold = descriptor_ids_for_periods(pid, periods);
-  }
-  {
-    const util::MemoEnabledGuard on(true);
-    warm = descriptor_ids_for_periods(pid, periods);
-    // Twice: the second call is served from the memo shards.
-    EXPECT_EQ(descriptor_ids_for_periods(pid, periods), warm);
-  }
-  EXPECT_EQ(cold, warm);
 }
 
 }  // namespace

@@ -419,19 +419,12 @@ TEST(StringsTest, ReplaceAll) {
 // ---------------------------------------------------------------------
 // csv
 // ---------------------------------------------------------------------
-#include <fstream>
+#include <sstream>
 
-#include "temp_dir.hpp"
 #include "util/csv.hpp"
 
 namespace torsim::util {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 TEST(CsvTest, EscapeRules) {
   EXPECT_EQ(csv_escape("plain"), "plain");
@@ -455,27 +448,21 @@ TEST(CsvTest, EscapeCarriageReturnAndEdgeCases) {
 }
 
 TEST(CsvTest, WriterRoundTripsNastyFields) {
-  const test_support::TempDir dir;
-  const std::string path = dir.file("nasty.csv");
-  {
-    CsvWriter csv(path);
-    csv.row({"onion,with,commas", "say \"hi\"", "line\nbreak", "cr\rhere"});
-  }
-  EXPECT_EQ(read_file(path),
+  std::ostringstream out;
+  CsvWriter csv(out);
+  csv.row({"onion,with,commas", "say \"hi\"", "line\nbreak", "cr\rhere"});
+  EXPECT_EQ(out.str(),
             "\"onion,with,commas\",\"say \"\"hi\"\"\","
             "\"line\nbreak\",\"cr\rhere\"\n");
 }
 
 TEST(CsvTest, WritesRows) {
-  const test_support::TempDir dir;
-  const std::string path = dir.file("rows.csv");
-  {
-    CsvWriter csv(path);
-    csv.row({"a", "b,c"});
-    csv.typed_row(1, 2.5, "x");
-    EXPECT_EQ(csv.rows_written(), 2u);
-  }
-  EXPECT_EQ(read_file(path), "a,\"b,c\"\n1,2.5,x\n");
+  std::ostringstream out;
+  CsvWriter csv(out);
+  csv.row({"a", "b,c"});
+  csv.typed_row(1, 2.5, "x");
+  EXPECT_EQ(csv.rows_written(), 2u);
+  EXPECT_EQ(out.str(), "a,\"b,c\"\n1,2.5,x\n");
 }
 
 TEST(CsvTest, ThrowsOnBadPath) {

@@ -6,7 +6,8 @@
 #      `error:` line and leaves no temp file behind;
 #   2. a write cut short by the file-size limit (what a full disk looks
 #      like to the writer) exits non-zero, leaves the previous file
-#      byte-identical, and leaves no temp file behind.
+#      byte-identical, and leaves no temp file behind;
+#   3. the same holds for a `--csv` table.
 set -eu
 
 bin="$1"
@@ -49,4 +50,13 @@ expect_failure sh -c "trap '' XFSZ; ulimit -f 1; exec \"\$0\" \"\$@\"" \
 cmp -s "$work/good.txt" "$work/out/c.txt" ||
   { echo "error: failed write changed the previous file" >&2; exit 1; }
 expect_left "c.txt " "write past the file-size limit"
-echo "atomic --out: failed writes left the destination and no temp file"
+
+# The Table II ranking CSV is ~3 KB at this scale.
+"$bin" popularity --scale 0.02 --csv "$work/out/p.csv" >/dev/null
+cp "$work/out/p.csv" "$work/good.csv"
+expect_failure sh -c "trap '' XFSZ; ulimit -f 1; exec \"\$0\" \"\$@\"" \
+  "$bin" popularity --scale 0.02 --csv "$work/out/p.csv"
+cmp -s "$work/good.csv" "$work/out/p.csv" ||
+  { echo "error: failed --csv write changed the previous file" >&2; exit 1; }
+expect_left "c.txt p.csv " "--csv write past the file-size limit"
+echo "atomic --out/--csv: failed writes left the destination and no temp file"

@@ -4,9 +4,8 @@
 Validates the `torsim-bench-v1` layout written by obs::BenchReport
 (src/obs/report.cpp): identity header, measured-vs-paper rows with the
 paper==0 -> ratio null rule, google-benchmark timings, wall-clock
-phases, peak RSS, the memo-cache hit/miss telemetry, and the metrics
-sections. CI's bench-smoke job runs this over every emitted file and
-fails the build on malformed output.
+phases, peak RSS, and the metrics sections. CI's bench-smoke job runs
+this over every emitted file and fails the build on malformed output.
 
 Usage:  check_bench_json.py FILE_OR_DIR [FILE_OR_DIR ...]
 
@@ -95,65 +94,6 @@ class Checker:
         total = wall_clock.get("total_seconds")
         self.require(self.is_num(total) and total >= 0,
                      "wall_clock.total_seconds must be a non-negative number")
-
-    def check_cache(self, cache):
-        if not self.require(isinstance(cache, dict),
-                            "cache must be an object"):
-            return
-        self.require(isinstance(cache.get("enabled"), bool),
-                     "cache.enabled must be a boolean")
-        caches = cache.get("caches")
-        if not self.require(isinstance(caches, dict),
-                            "cache.caches must be an object"):
-            return
-        for name, stats in caches.items():
-            where = f"cache.caches[{name!r}]"
-            if not self.require(isinstance(stats, dict),
-                                f"{where} not an object"):
-                continue
-            for key in ("hits", "misses", "evictions"):
-                value = stats.get(key)
-                self.require(self.is_int(value) and value >= 0,
-                             f"{where}.{key} must be a non-negative integer")
-
-    def check_index(self, index):
-        # Optional section: only the ring ablation bench carries it (the
-        # eytzinger-index-vs-oracle cold-path telemetry), but when
-        # present anywhere it must be well-formed. Like wall_clock it is
-        # perf telemetry, never golden-compared.
-        if index is None:
-            return
-        if not self.require(isinstance(index, dict),
-                            "index must be an object"):
-            return
-        self.require(isinstance(index.get("enabled"), bool),
-                     "index.enabled must be a boolean")
-        kernels = index.get("kernels")
-        if not self.require(isinstance(kernels, dict),
-                            "index.kernels must be an object"):
-            return
-        for name, stat in kernels.items():
-            where = f"index.kernels[{name!r}]"
-            if not self.require(isinstance(stat, dict),
-                                f"{where} not an object"):
-                continue
-            for key in ("oracle_seconds", "indexed_seconds"):
-                value = stat.get(key)
-                self.require(self.is_num(value) and value >= 0,
-                             f"{where}.{key} must be a non-negative number")
-            if "speedup" not in stat:
-                self.error(f"{where} missing speedup")
-            elif self.is_num(stat.get("indexed_seconds")):
-                # The n/a rule again: an unmeasured indexed path has no
-                # meaningful ratio -> speedup is null, never 0 or inf.
-                if stat["indexed_seconds"] == 0:
-                    self.require(
-                        stat["speedup"] is None,
-                        f"{where}.speedup must be null when "
-                        f"indexed_seconds == 0")
-                else:
-                    self.require(self.is_num(stat["speedup"]),
-                                 f"{where}.speedup must be a number")
 
     def check_serve(self, serve):
         # Optional section: only BENCH_serve.json carries it (the
@@ -366,8 +306,6 @@ class Checker:
         rss = doc.get("peak_rss_bytes")
         self.require(self.is_int(rss) and rss > 0,
                      "peak_rss_bytes must be a positive integer")
-        self.check_cache(doc.get("cache"))
-        self.check_index(doc.get("index"))
         self.check_serve(doc.get("serve"))
         self.check_population(doc.get("population"), rss)
         self.check_scenarios(doc.get("scenarios"))

@@ -31,7 +31,7 @@
 //   hotalloc     inside functions annotated `// detlint: hot`: `new`,
 //                make_unique/make_shared, std::string construction,
 //                and container growth calls. The ring descent, SHA-1
-//                lanes, and memo probes must stay allocation-free.
+//                lanes, and publish walk must stay allocation-free.
 //
 // Findings are suppressed either inline —
 //   ... flagged code ...  // detlint-allow(check-name) reason

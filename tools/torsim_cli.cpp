@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,7 +55,6 @@
 #include "trackdet/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
-#include "util/memo.hpp"
 
 namespace {
 
@@ -101,13 +101,6 @@ struct Options {
   obs::TraceRecorder* trace = nullptr;
 };
 
-bool parse_cache_mode(const std::string& text) {
-  if (text == "on") return true;
-  if (text == "off") return false;
-  throw std::invalid_argument("unknown cache mode '" + text +
-                              "' (expected on|off)");
-}
-
 util::LogLevel parse_log_level(const std::string& text) {
   if (text == "debug") return util::LogLevel::kDebug;
   if (text == "info") return util::LogLevel::kInfo;
@@ -135,7 +128,6 @@ Options parse_options(int argc, char** argv, int first) {
     else if (arg == "--relays") opt.relays = std::stoi(next());
     else if (arg == "--hours") opt.hours = std::stoi(next());
     else if (arg == "--threads") opt.threads = std::stoi(next());
-    else if (arg == "--cache") util::set_memo_enabled(parse_cache_mode(next()));
     else if (arg == "--faults") {
       opt.faults_spec = next();
       opt.faults = fault::FaultPlan::parse(opt.faults_spec);
@@ -167,6 +159,18 @@ Options parse_options(int argc, char** argv, int first) {
 /// helper so unwritable destinations fail the same way everywhere.
 int write_text_file(const std::string& path, const std::string& text,
                     const char* what);
+
+/// Renders a CSV with `write_rows` in memory, then writes it through
+/// write_text_file, so --csv gets the same checked temp-then-rename
+/// path as every other artifact.
+template <typename WriteRows>
+int write_csv_file(const std::string& path, const WriteRows& write_rows) {
+  std::ostringstream buffer;
+  util::CsvWriter csv(buffer);
+  write_rows(csv);
+  const std::string what = std::to_string(csv.rows_written()) + " rows";
+  return write_text_file(path, buffer.str(), what.c_str());
+}
 
 population::Population make_population(const Options& opt) {
   population::PopulationConfig config;
@@ -207,8 +211,8 @@ int cmd_scan(const Options& opt) {
     std::printf("%s\n",
                 stats::bar_line(label, count, report.total_open_ports(), 40)
                     .c_str());
-  if (!opt.csv.empty()) {
-    util::CsvWriter csv(opt.csv);
+  if (opt.csv.empty()) return 0;
+  return write_csv_file(opt.csv, [&](util::CsvWriter& csv) {
     csv.row({"port", "open", "timeout", "closed"});
     std::map<std::uint16_t, std::array<std::int64_t, 3>> per_port;
     for (const auto& [port, count] : report.open_ports.entries())
@@ -219,10 +223,7 @@ int cmd_scan(const Options& opt) {
       per_port[port][2] = count;
     for (const auto& [port, counts] : per_port)
       csv.typed_row(port, counts[0], counts[1], counts[2]);
-    std::printf("wrote %zu rows to %s\n", csv.rows_written(),
-                opt.csv.c_str());
-  }
-  return 0;
+  });
 }
 
 int cmd_crawl(const Options& opt) {
@@ -295,16 +296,13 @@ int cmd_classify(const Options& opt) {
                 std::string(content::topic_name(content::topic_from_index(i)))
                     .c_str(),
                 pct[i]);
-  if (!opt.csv.empty()) {
-    util::CsvWriter csv(opt.csv);
+  if (opt.csv.empty()) return 0;
+  return write_csv_file(opt.csv, [&](util::CsvWriter& csv) {
     csv.row({"topic", "count", "percent"});
     for (int i = 0; i < content::kNumTopics; ++i)
       csv.typed_row(content::topic_name(content::topic_from_index(i)),
                     result.topic_counts[i], pct[i]);
-    std::printf("wrote %zu rows to %s\n", csv.rows_written(),
-                opt.csv.c_str());
-  }
-  return 0;
+  });
 }
 
 int cmd_popularity(const Options& opt) {
@@ -329,17 +327,14 @@ int cmd_popularity(const Options& opt) {
                 static_cast<long long>(row.requests), row.onion.c_str(),
                 row.label.empty() ? "" : ("[" + row.label + "]").c_str());
   }
-  if (!opt.csv.empty()) {
-    util::CsvWriter csv(opt.csv);
+  if (opt.csv.empty()) return 0;
+  return write_csv_file(opt.csv, [&](util::CsvWriter& csv) {
     csv.row({"rank", "onion", "requests", "label", "paper_rank"});
     for (std::size_t i = 0; i < report.ranking.size(); ++i)
       csv.typed_row(i + 1, report.ranking[i].onion,
                     report.ranking[i].requests, report.ranking[i].label,
                     report.ranking[i].paper_rank);
-    std::printf("wrote %zu rows to %s\n", csv.rows_written(),
-                opt.csv.c_str());
-  }
-  return 0;
+  });
 }
 
 int cmd_botnet(const Options& opt) {
@@ -410,18 +405,15 @@ int cmd_trackdet(const Options& opt) {
                 static_cast<long long>(cluster.periods_covered),
                 cluster.max_ratio,
                 cluster.full_takeover ? " [TAKEOVER]" : "");
-  if (!opt.csv.empty()) {
-    util::CsvWriter csv(opt.csv);
+  if (opt.csv.empty()) return 0;
+  return write_csv_file(opt.csv, [&](util::CsvWriter& csv) {
     csv.row({"server", "responsible_periods", "fp_switches", "max_ratio",
              "flags", "truth_campaign"});
     for (const auto& s : study.report.suspicious)
       csv.typed_row(s.name, s.stats.periods_responsible,
                     s.stats.fingerprint_switches, s.stats.max_ratio,
                     s.flags.count(), s.truth_campaign);
-    std::printf("wrote %zu rows to %s\n", csv.rows_written(),
-                opt.csv.c_str());
-  }
-  return 0;
+  });
 }
 
 int cmd_consensus(const Options& opt) {
@@ -619,13 +611,10 @@ int cmd_scenario(const Options& opt) {
   rc.trace = opt.trace;
   const auto report = scenario::run_pack(pack, rc);
   std::printf("%s\n", report.describe().c_str());
-  if (!opt.csv.empty()) {
-    util::CsvWriter csv(opt.csv);
+  if (opt.csv.empty()) return 0;
+  return write_csv_file(opt.csv, [&](util::CsvWriter& csv) {
     report.write_timeline(csv);
-    std::printf("wrote %zu rows to %s\n", csv.rows_written(),
-                opt.csv.c_str());
-  }
-  return 0;
+  });
 }
 
 int cmd_geoip(const Options& opt) {
@@ -742,12 +731,11 @@ int cmd_load(const Options& opt) {
               static_cast<long long>(ok), static_cast<long long>(errors),
               static_cast<long long>(result.retries),
               static_cast<long long>(result.reconnects));
-  if (!opt.csv.empty()) {
-    util::CsvWriter csv(opt.csv);
-    tools::write_result_csv(csv, result.requests, result.responses);
-    std::printf("wrote %zu rows to %s\n", csv.rows_written(),
-                opt.csv.c_str());
-  }
+  if (!opt.csv.empty() &&
+      write_csv_file(opt.csv, [&](util::CsvWriter& csv) {
+        tools::write_result_csv(csv, result.requests, result.responses);
+      }) != 0)
+    return 1;
   if (!opt.telemetry_out.empty())
     return write_text_file(opt.telemetry_out, telemetry.to_json(),
                            "load telemetry");
@@ -771,13 +759,10 @@ int cmd_query(const Options& opt) {
   }
   std::printf("query: %zu requests, %lld ok, %lld errors\n", mix.size(),
               static_cast<long long>(ok), static_cast<long long>(errors));
-  if (!opt.csv.empty()) {
-    util::CsvWriter csv(opt.csv);
+  if (opt.csv.empty()) return 0;
+  return write_csv_file(opt.csv, [&](util::CsvWriter& csv) {
     tools::write_result_csv(csv, mix, responses);
-    std::printf("wrote %zu rows to %s\n", csv.rows_written(),
-                opt.csv.c_str());
-  }
-  return 0;
+  });
 }
 
 int write_text_file(const std::string& path, const std::string& text,
@@ -867,13 +852,10 @@ void usage(std::FILE* out) {
   std::fprintf(
       out,
       "\noptions: --scale S --seed N --csv FILE --out FILE --ips N "
-      "--relays M --hours N --threads T --cache MODE --faults SPEC\n"
+      "--relays M --hours N --threads T --faults SPEC\n"
       "         --metrics-out FILE --trace-out FILE --log-level LEVEL\n"
       "  --threads T   fan-out workers (0 = one per hardware thread,\n"
       "                1 = serial; results are identical either way)\n"
-      "  --cache MODE  on|off (default on): memoize descriptor-id\n"
-      "                derivations and HSDir ring walks; outputs are\n"
-      "                byte-identical either way (docs/performance.md)\n"
       "  --faults SPEC inject connection/directory faults: a profile\n"
       "                (mild, moderate, severe) or k=v pairs, e.g.\n"
       "                drop=0.05,timeout=0.1,retries=4 — see\n"
